@@ -7,7 +7,7 @@ from simulator internals, so metrics are reproducible from a trace file
 alone (plus the radio range and duration, which are config, not state).
 
 Per-sample neighbor-table precision/recall compares each node's replayed
-table against brute-force adjacency over the last-reported positions.
+table against the geometric adjacency of the last-reported positions.
 For static scenes that ground truth is exact; under mobility a position
 can be stale by up to one beacon interval.
 """
@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .grid import pairs_in_range
 from .trace import (
     EV_ACK_RX,
     EV_ACK_TX,
@@ -144,14 +145,9 @@ def _table_accuracy(tables: dict[int, set[int]],
                     radio_range: float) -> tuple[float, float]:
     """Directed precision/recall of replayed tables vs geometric truth."""
     truth: set[tuple[int, int]] = set()
-    ids = sorted(last_pos)
-    for i, a in enumerate(ids):
-        ax, ay = last_pos[a]
-        for b in ids[i + 1:]:
-            bx, by = last_pos[b]
-            if math.hypot(ax - bx, ay - by) <= radio_range:
-                truth.add((a, b))
-                truth.add((b, a))
+    for a, b in pairs_in_range(last_pos, radio_range):
+        truth.add((a, b))
+        truth.add((b, a))
     held = {
         (node, peer) for node, peers in tables.items() for peer in peers
     }

@@ -164,13 +164,14 @@ class NodeState:
         )
 
     def on_timer_beacon(self, now: float) -> list[BeaconPacket]:
-        """Periodic timer: expire stale neighbors, emit one beacon.
+        """Periodic timer: emit one beacon.
 
-        Advances ``next_beacon_at`` by the effective interval and marks
-        untouched entries PENDING, since our public value is now out and
-        an ack may come back for them.
+        The caller expires stale neighbors first (``expire_neighbors``),
+        once per timer, so that every drop can be recorded. Advances
+        ``next_beacon_at`` by the effective interval and marks untouched
+        entries PENDING, since our public value is now out and an ack
+        may come back for them.
         """
-        self.expire_neighbors(now)
         beacon = self.build_beacon()
         self.next_beacon_at = now + self.effective_beacon_interval()
         for entry in self.neighbors.values():

@@ -7,6 +7,17 @@ still delivers), each candidate independently subject to the configured
 loss probability. Propagation adds a fixed delay so that send and
 receive instants are distinct and ordering is well defined.
 
+The radio's view of the fleet is kept up to date rather than rebuilt per
+send: ``Simulation`` holds every vehicle's current position and buckets
+the vehicles into a cell grid one radio range wide (``grid.CellGrid``),
+both written at set-up and on each mobility tick only. A beacon's
+candidate receivers are the live nodes in the 3 x 3 block of cells
+around its sender; an ACK's is its live addressee. Liveness is checked
+per candidate at the send instant, which is not monotone in event order:
+with crypto costs on, an ACK leaves at the end of the responder's secret
+computation, after the delivery that prompted it. A node that halts
+inside that window sends no ACK.
+
 Everything is driven by one event heap ordered by
 ``(time, kind, node, insertion sequence)``, and every random draw comes
 from named ``random.Random`` streams derived from the config seed, so a
@@ -32,6 +43,7 @@ from typing import Mapping
 
 from .codec import BeaconPacket, PacketType, Position, decode_packet, encode_packet
 from .dh import generate_dh_params
+from .grid import CellGrid, pairs_in_range
 from .metrics import Metrics, compute_metrics
 from .protocol import DhMode, NodeConfig, NodeState, distance, make_node
 from .trace import (
@@ -52,6 +64,13 @@ MOBILITY_TICK_INTERVAL = 0.1
 
 class ConfigError(ValueError):
     """Simulation configuration rejected before any event runs."""
+
+
+def _check_number(key: str, value: float, positive: bool = False) -> None:
+    """Reject NaN, infinities and negatives, and zero when ``positive``."""
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        need = "positive" if positive else "non-negative"
+        raise ConfigError(f"{key} must be finite and {need}, got {value!r}")
 
 
 class Mobility(Enum):
@@ -80,6 +99,10 @@ class CryptoCosts:
     param_gen: float = 3.509800629
     sender_secret: float = 0.049069788
     receiver_secret: float = 0.036127233
+
+    def __post_init__(self) -> None:
+        for name in ("param_gen", "sender_secret", "receiver_secret"):
+            _check_number(f"sim.cost_{name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -130,35 +153,40 @@ class SimConfig:
     probes: tuple[RouteProbe, ...] = ()
 
     def validate(self) -> None:
+        """Raise :class:`ConfigError` naming the config key at fault."""
         if self.n_vehicles < 1:
-            raise ConfigError("n_vehicles must be >= 1")
-        if self.area[0] <= 0 or self.area[1] <= 0:
-            raise ConfigError("area dimensions must be positive")
-        if self.radio_range <= 0:
-            raise ConfigError("radio_range must be positive")
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
+            raise ConfigError("sim.n_vehicles must be >= 1")
+        _check_number("sim.area_width", self.area[0], positive=True)
+        _check_number("sim.area_height", self.area[1], positive=True)
+        _check_number("sim.radio_range", self.radio_range, positive=True)
+        _check_number("sim.duration", self.duration, positive=True)
         if not 0.0 <= self.loss_rate <= 1.0:
-            raise ConfigError("loss_rate must be in [0, 1]")
-        if self.prop_delay < 0:
-            raise ConfigError("prop_delay must be non-negative")
-        if not 0.0 <= self.speed_range[0] <= self.speed_range[1]:
-            raise ConfigError("speed_range must satisfy 0 <= min <= max")
-        if self.placements is not None and len(self.placements) != self.n_vehicles:
-            raise ConfigError(
-                f"placements has {len(self.placements)} entries for "
-                f"{self.n_vehicles} vehicles")
+            raise ConfigError("sim.loss_rate must be in [0, 1]")
+        _check_number("sim.prop_delay", self.prop_delay)
+        _check_number("sim.speed_min", self.speed_range[0])
+        _check_number("sim.speed_max", self.speed_range[1])
+        if self.speed_range[0] > self.speed_range[1]:
+            raise ConfigError("sim.speed_min must not exceed sim.speed_max")
+        if self.placements is not None:
+            if len(self.placements) != self.n_vehicles:
+                raise ConfigError(
+                    f"sim.placements has {len(self.placements)} entries for "
+                    f"{self.n_vehicles} vehicles")
+            if not all(map(math.isfinite, (c for xy in self.placements for c in xy))):
+                raise ConfigError("sim.placements must be finite")
         ids = range(1, self.n_vehicles + 1)
         for node_id, at in self.halts:
             if node_id not in ids:
-                raise ConfigError(f"halt names unknown node {node_id}")
+                raise ConfigError(f"sim.halts names unknown node {node_id}")
             if not 0 <= at <= self.duration:
-                raise ConfigError(f"halt time {at} outside the run")
+                raise ConfigError(f"sim.halts time {at} outside the run")
         for probe in self.probes:
             if probe.src not in ids:
-                raise ConfigError(f"probe names unknown node {probe.src}")
+                raise ConfigError(f"sim.probes names unknown node {probe.src}")
             if not 0 <= probe.at <= self.duration:
-                raise ConfigError(f"probe time {probe.at} outside the run")
+                raise ConfigError(f"sim.probes time {probe.at} outside the run")
+            if not (math.isfinite(probe.dest.x) and math.isfinite(probe.dest.y)):
+                raise ConfigError("sim.probes destination must be finite")
 
 
 @dataclass
@@ -252,14 +280,12 @@ def mobility_update(vehicle: Vehicle, dt: float, area: tuple[float, float],
 
 def ground_truth_neighbors(positions: Mapping[int, Position],
                            radio_range: float) -> dict[int, set[int]]:
-    """Brute-force symmetric adjacency: the oracle the protocol chases."""
+    """Symmetric geometric adjacency: the oracle the protocol chases."""
     adjacency: dict[int, set[int]] = {node_id: set() for node_id in positions}
-    ids = sorted(positions)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if distance(positions[a], positions[b]) <= radio_range:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
+    points = {node_id: (pos.x, pos.y) for node_id, pos in positions.items()}
+    for a, b in pairs_in_range(points, radio_range):
+        adjacency[a].add(b)
+        adjacency[b].add(a)
     return adjacency
 
 
@@ -298,6 +324,10 @@ class Simulation:
         self.config = config
         self.nodes: dict[int, NodeState] = {}
         self.vehicles: dict[int, Vehicle] = {}
+        # Current position of every vehicle, halted or not, and the same
+        # ids bucketed by cell; both written at set-up and on mobility ticks.
+        self._positions: dict[int, Position] = {}
+        self._grid = CellGrid(config.radio_range)
         self.probe_results: list[RouteResult] = []
         self._trace: list[TraceRecord] = []
         self._heap: list[tuple[float, int, int, int, object]] = []
@@ -332,15 +362,17 @@ class Simulation:
                 vehicle.vx = speed * math.cos(angle)
                 vehicle.vy = speed * math.sin(angle)
             self.vehicles[node_id] = vehicle
+            self._positions[node_id] = vehicle.position
             self.nodes[node_id] = make_node(
                 node_id=node_id,
-                position=vehicle.position,
+                position=self._positions[node_id],
                 config=cfg.node_config,
                 dh_mode=cfg.dh_mode,
                 rng=random.Random(f"{cfg.seed}/node/{node_id}"),
                 shared_params=shared_params,
                 dh_bits=cfg.dh_bits,
             )
+        self._rebuild_grid()
 
     def _schedule_initial(self) -> None:
         cfg = self.config
@@ -365,7 +397,7 @@ class Simulation:
               extra: dict | None = None) -> None:
         if t > self.config.duration:
             return  # effect lands beyond the simulated horizon
-        pos = self.vehicles[node].position
+        pos = self._positions[node]
         self._trace.append(TraceRecord(
             t=t, ev=ev, node=node, peer=peer, pos=(pos.x, pos.y),
             extra=extra or {}))
@@ -374,12 +406,24 @@ class Simulation:
         halt = self._halt_at.get(node_id)
         return halt is not None and now >= halt
 
-    def _alive_positions(self, now: float) -> dict[int, Position]:
-        return {
-            node_id: vehicle.position
-            for node_id, vehicle in self.vehicles.items()
-            if not self._halted(node_id, now)
-        }
+    def _rebuild_grid(self) -> None:
+        self._grid.rebuild((node_id, pos.x, pos.y)
+                           for node_id, pos in self._positions.items())
+
+    def _radio_view(self, at: float, sender: int, ptype: PacketType,
+                    dest: int | None) -> dict[int, Position]:
+        """The sender plus every node live at ``at`` that could hear it.
+
+        A superset of the receivers, which ``deliver_in_range`` picks by
+        distance: the nodes of the sender's 3 x 3 cell block for a
+        beacon, the addressee for an ACK.
+        """
+        nearby = self._grid.block(sender) if ptype is PacketType.BEACON else (dest,)
+        positions = self._positions
+        view = {node_id: positions[node_id] for node_id in nearby
+                if not self._halted(node_id, at)}
+        view[sender] = positions[sender]
+        return view
 
     # -- event handlers --------------------------------------------------
 
@@ -409,7 +453,7 @@ class Simulation:
     def _send(self, now: float, sender: int, ptype: PacketType,
               dest: int | None, raw: bytes) -> None:
         outcomes = deliver_in_range(
-            self._alive_positions(now), sender, ptype, dest,
+            self._radio_view(now, sender, ptype, dest), sender, ptype, dest,
             self.config.radio_range, self.config.loss_rate, self._rng_loss)
         for recipient, delivered in outcomes:
             if delivered:
@@ -429,7 +473,8 @@ class Simulation:
             ack = state.on_receive_beacon(pkt, now)
             done = now + (costs.receiver_secret if costs else 0.0)
             self._emit_key_change(state, sender, prev_key, done)
-            if ack is not None:
+            # A node that halts while computing its secret never answers.
+            if ack is not None and not self._halted(node_id, done):
                 ack_raw = encode_packet(ack)
                 self._emit(done, EV_ACK_TX, node_id, sender, {"len": len(ack_raw)})
                 self._send(done, node_id, ack.ptype, sender, ack_raw)
@@ -459,7 +504,10 @@ class Simulation:
             vehicle = self.vehicles[node_id]
             mobility_update(vehicle, MOBILITY_TICK_INTERVAL, cfg.area,
                             cfg.mobility, cfg.speed_range, self._rng_move)
-            self.nodes[node_id].own_position = vehicle.position
+            position = vehicle.position
+            self._positions[node_id] = position
+            self.nodes[node_id].own_position = position
+        self._rebuild_grid()
         nxt = now + MOBILITY_TICK_INTERVAL
         if nxt <= cfg.duration:
             self._push(nxt, EventKind.MOBILITY_TICK, 0, None)

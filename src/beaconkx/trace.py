@@ -24,11 +24,6 @@ EV_NEIGHBOR_EXPIRED = "neighbor_expired"
 EV_ROUTE_HOP = "route_hop"
 EV_ROUTE_LOCAL_MAX = "route_local_max"
 
-EVENT_NAMES = (
-    EV_BEACON_TX, EV_BEACON_RX, EV_ACK_TX, EV_ACK_RX,
-    EV_KEY_ESTABLISHED, EV_NEIGHBOR_EXPIRED, EV_ROUTE_HOP, EV_ROUTE_LOCAL_MAX,
-)
-
 
 def _fmt_value(value: object) -> str:
     if isinstance(value, bool):

@@ -46,6 +46,27 @@ class TestRunCommand:
         assert code == 2
         assert "sim.raido_range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, key", [
+        ("sim.radio_range = nan", "sim.radio_range"),
+        ("sim.prop_delay = nan", "sim.prop_delay"),
+        ("sim.duration = nan", "sim.duration"),
+        ("sim.area_width = inf", "sim.area_width"),
+        ("sim.speed_max = inf", "sim.speed_max"),
+        ("sim.crypto_costs = on\nsim.cost_param_gen = -5", "sim.cost_param_gen"),
+        ("sim.crypto_costs = on\nsim.cost_receiver_secret = nan",
+         "sim.cost_receiver_secret"),
+    ])
+    def test_non_finite_or_negative_value_exits_2(self, tmp_path, capsys,
+                                                  lines, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TWO_NODE_CFG + lines + "\n")
+        code = main(["run", "--config", str(bad),
+                     "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.json")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_repeat_runs_byte_identical(self, tmp_path, two_node_cfg):
         paths = []
         for name in ("a", "b"):

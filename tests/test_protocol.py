@@ -127,11 +127,14 @@ class TestBeaconTimer:
         (pkt,) = node.on_timer_beacon(0.0)
         assert pkt.src_pos == Position(12.5, -7.25)
 
-    def test_timer_runs_expiry(self):
+    def test_timer_leaves_expiry_to_caller(self):
+        # The caller runs expiry once per timer, before the beacon, so
+        # that every drop is recorded; the timer keeps the table whole.
         node = textbook_node(1, 6)
         node.neighbors[9] = NeighborEntry(9, Position(1.0, 1.0), last_seen=0.0)
         node.on_timer_beacon(10.0)
-        assert 9 not in node.neighbors
+        assert 9 in node.neighbors
+        assert node.expire_neighbors(10.0) == [9]
 
     def test_unkeyed_entries_become_pending(self):
         node = textbook_node(1, 6)

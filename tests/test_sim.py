@@ -1,10 +1,15 @@
+import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beaconkx.codec import PacketType, Position
 from beaconkx.dh import DhParams
-from beaconkx.protocol import DhMode, NeighborEntry, NodeConfig, make_node
+from beaconkx.grid import cell_side
+from beaconkx.protocol import DhMode, NeighborEntry, NodeConfig, NodeState, make_node
 from beaconkx.sim import (
     ConfigError,
     CryptoCosts,
@@ -63,6 +68,29 @@ class TestConfigValidation:
     def test_error_raised_before_any_simulation(self):
         with pytest.raises(ConfigError):
             run(SimConfig(n_vehicles=0))
+
+
+class TestNumericValidation:
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"radio_range": math.nan}, "sim.radio_range"),
+        ({"radio_range": math.inf}, "sim.radio_range"),
+        ({"prop_delay": math.nan}, "sim.prop_delay"),
+        ({"duration": math.inf}, "sim.duration"),
+        ({"area": (math.inf, 100.0)}, "sim.area_width"),
+        ({"area": (100.0, math.nan)}, "sim.area_height"),
+        ({"speed_range": (0.0, math.inf)}, "sim.speed_max"),
+        ({"placements": ((0.0, math.nan), (1.0, 1.0))}, "sim.placements"),
+        ({"probes": (RouteProbe(1.0, 1, Position(math.inf, 0.0)),)}, "sim.probes"),
+    ])
+    def test_non_finite_values_name_their_key(self, kwargs, key):
+        with pytest.raises(ConfigError, match=key):
+            SimConfig(n_vehicles=2, **kwargs).validate()
+
+    @pytest.mark.parametrize("field", ["param_gen", "sender_secret", "receiver_secret"])
+    @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
+    def test_crypto_costs_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ConfigError, match=f"sim.cost_{field}"):
+            CryptoCosts(**{field: value})
 
 
 class TestDeliverInRange:
@@ -172,6 +200,96 @@ class TestGroundTruth:
         adj = ground_truth_neighbors(positions, 1.0)
         for node, peers in adj.items():
             assert peers == set(positions) - {node}
+
+
+def brute_force_neighbors(positions, radio_range):
+    """The test oracle: every pair compared, nothing pruned."""
+    return {a: {b for b in positions
+                if b != a and math.hypot(positions[a].x - positions[b].x,
+                                         positions[a].y - positions[b].y) <= radio_range}
+            for a in positions}
+
+
+@st.composite
+def radio_scenes(draw):
+    """A range and 1-8 points on cell corners, exactly one range apart,
+    near +-1e300 or past the grid's key limit."""
+    radio_range = draw(st.one_of(
+        st.sampled_from([5e-324, 1e-300, 1.0, 250.0, 1e300]),
+        st.floats(min_value=1e-6, max_value=1e6)))
+    side = cell_side(radio_range)
+    coordinate = st.one_of(
+        st.integers(-3, 3).map(lambda k: k * side),
+        st.sampled_from([1e300, -1e300, math.nextafter(1e300, 0.0),
+                         2.0 ** 49, -(2.0 ** 49)]),
+        st.floats(-4 * radio_range, 4 * radio_range))
+    offsets = [(radio_range, 0.0), (-radio_range, 0.0),
+               (0.0, radio_range), (0.0, -radio_range)]
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        if points and draw(st.booleans()):
+            x, y = draw(st.sampled_from(points))
+            dx, dy = draw(st.sampled_from(offsets))
+            points.append((x + dx, y + dy))
+        else:
+            points.append((draw(coordinate), draw(coordinate)))
+    return radio_range, points
+
+
+class TestRadioView:
+    @settings(max_examples=150, deadline=None)
+    @given(scene=radio_scenes(), data=st.data())
+    def test_matches_brute_force_over_live_positions(self, scene, data):
+        radio_range, points = scene
+        count = len(points)
+        halts = tuple((node_id, 1.0) for node_id in range(1, count + 1)
+                      if data.draw(st.booleans()))
+        at = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+        sim = Simulation(SimConfig(
+            n_vehicles=count, placements=tuple(points), radio_range=radio_range,
+            duration=3.0, halts=halts, **FAST_DH))
+        halted = {node_id for node_id, t in halts if at >= t}
+        live = {node_id: Position(x, y) for node_id, (x, y) in enumerate(points, 1)
+                if node_id not in halted}
+        sends = [(PacketType.BEACON, None)] + [
+            (PacketType.ACK, dest) for dest in range(1, count + 1)]
+        for sender in live:
+            for ptype, dest in sends:
+                view = sim._radio_view(at, sender, ptype, dest)
+                got = deliver_in_range(view, sender, ptype, dest, radio_range,
+                                       0.5, random.Random(7))
+                expected = deliver_in_range(live, sender, ptype, dest,
+                                            radio_range, 0.5, random.Random(7))
+                assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(scene=radio_scenes())
+    def test_ground_truth_matches_brute_force(self, scene):
+        radio_range, points = scene
+        positions = {node_id: Position(x, y) for node_id, (x, y) in enumerate(points, 1)}
+        assert ground_truth_neighbors(positions, radio_range) == \
+            brute_force_neighbors(positions, radio_range)
+
+    def test_keys_past_exact_floor_range_fall_back_to_one_cell(self):
+        # Near 2**51 cells, floor division gives these two points, half a
+        # metre apart, keys two apart: only one cell keeps them together.
+        cfg = SimConfig(n_vehicles=2, radio_range=0.7, **FAST_DH, placements=(
+            (2931158588877325.0, 0.0), (2931158588877325.5, 0.0)))
+        view = Simulation(cfg)._radio_view(0.0, 1, PacketType.BEACON, None)
+        assert set(view) == {1, 2}
+        positions = {i + 1: Position(*xy) for i, xy in enumerate(cfg.placements)}
+        assert ground_truth_neighbors(positions, 0.7) == {1: {2}, 2: {1}}
+
+    def test_beacon_view_skips_far_cells(self):
+        cfg = line_config(1000.0, 5, radio_range=250.0)
+        view = Simulation(cfg)._radio_view(0.0, 1, PacketType.BEACON, None)
+        assert set(view) == {1}
+
+    def test_ack_view_holds_sender_and_live_addressee(self):
+        cfg = line_config(100.0, 4, duration=5.0, halts=((3, 1.0),))
+        sim = Simulation(cfg)
+        assert set(sim._radio_view(0.5, 1, PacketType.ACK, 3)) == {1, 3}
+        assert set(sim._radio_view(1.0, 1, PacketType.ACK, 3)) == {1}
 
 
 class TestTwoNodeRuns:
@@ -326,6 +444,51 @@ class TestHalt:
         late = [r for r in trace if r.node == 2 and r.t >= 3.0
                 and r.ev in (EV_BEACON_TX, EV_ACK_TX, EV_BEACON_RX, EV_ACK_RX)]
         assert late == []
+
+
+class TestHaltWhileComputingAck:
+    def test_responder_halting_before_its_ack_leaves_sends_nothing(self):
+        base = two_node_config(100.0, crypto_costs=CryptoCosts(0.0, 0.05, 0.05),
+                               duration=5.0, seed=1, **FAST_DH)
+        trace, _ = run(base)
+        first_rx = min((r for r in trace if r.ev == EV_BEACON_RX), key=lambda r: r.t)
+        responder = first_rx.node
+        trace, _ = run(replace(base, halts=((responder, first_rx.t + 0.01),)))
+        assert not [r for r in trace if r.ev == EV_ACK_TX and r.node == responder]
+        assert not [r for r in trace if r.ev == EV_ACK_RX and r.peer == responder]
+
+
+class TestExpiryOncePerTimer:
+    ADAPTIVE = SimConfig(n_vehicles=60, area=(1500.0, 1500.0),
+                         speed_range=(5.0, 15.0), loss_rate=0.2, duration=10.0,
+                         node_config=NodeConfig(adaptive=True, target_degree=4),
+                         **FAST_DH)
+
+    def test_one_expiry_call_per_beacon(self, monkeypatch):
+        calls = []
+        original = NodeState.expire_neighbors
+
+        def counted(self, now):
+            calls.append(now)
+            return original(self, now)
+
+        monkeypatch.setattr(NodeState, "expire_neighbors", counted)
+        trace, _ = run(replace(self.ADAPTIVE, seed=1))
+        assert len(calls) == sum(r.ev == EV_BEACON_TX for r in trace)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_final_tables_equal_tables_replayed_from_trace(self, seed):
+        sim = Simulation(replace(self.ADAPTIVE, seed=seed))
+        trace, metrics = sim.run()
+        assert metrics.expiries > 0
+        tables = {node_id: set() for node_id in sim.nodes}
+        for rec in trace:
+            if rec.ev in (EV_BEACON_RX, EV_ACK_RX):
+                tables[rec.node].add(rec.peer)
+            elif rec.ev == EV_NEIGHBOR_EXPIRED:
+                tables[rec.node].discard(rec.peer)
+        for node_id, state in sim.nodes.items():
+            assert set(state.neighbors) == tables[node_id], node_id
 
 
 class TestMobilityExpiry:
