@@ -22,7 +22,6 @@ from .dh import (
     DhError,
     DhKeyPair,
     DhParams,
-    SharedSecret,
     compute_shared_secret,
     derive_symmetric_key,
     generate_dh_params,
@@ -59,7 +58,7 @@ from .trace import Trace, TraceRecord
 __all__ = [
     "BeaconPacket", "CodecError", "DecodeError", "EncodeError", "PacketType",
     "Position", "decode_packet", "encode_packet",
-    "DhError", "DhKeyPair", "DhParams", "SharedSecret",
+    "DhError", "DhKeyPair", "DhParams",
     "compute_shared_secret", "derive_symmetric_key", "generate_dh_params",
     "generate_keypair", "is_probable_prime", "mod_exp",
     "Metrics", "compute_metrics",

@@ -26,6 +26,7 @@ from .codec import (
 )
 from .config import load_config_file
 from .dh import (
+    MIN_MODULUS_BITS,
     compute_shared_secret,
     derive_symmetric_key,
     generate_dh_params,
@@ -177,8 +178,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.bits < 16:
-        print("error: --bits must be >= 16", file=sys.stderr)
+    if args.bits < MIN_MODULUS_BITS:
+        print(f"error: --bits must be >= {MIN_MODULUS_BITS}", file=sys.stderr)
         return EXIT_USAGE
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)

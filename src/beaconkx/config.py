@@ -91,37 +91,43 @@ def _split_items(raw: str) -> list[str]:
 
 
 def _parse_placements(raw: str) -> tuple[tuple[float, float], ...]:
+    key = "sim.placements"
     placements = []
     for item in _split_items(raw):
         parts = item.split(",")
         if len(parts) != 2:
             raise ConfigFileError(
-                f"key 'sim.placements': expected 'x,y' items, got '{item}'")
-        placements.append((float(parts[0]), float(parts[1])))
+                f"key '{key}': expected 'x,y' items, got '{item}'")
+        placements.append(tuple(_parse_scalar(key, part, float) for part in parts))
     return tuple(placements)
 
 
 def _parse_halts(raw: str) -> tuple[tuple[int, float], ...]:
+    key = "sim.halts"
     halts = []
     for item in _split_items(raw):
         parts = item.split(":")
         if len(parts) != 2:
             raise ConfigFileError(
-                f"key 'sim.halts': expected 'node:t' items, got '{item}'")
-        halts.append((int(parts[0]), float(parts[1])))
+                f"key '{key}': expected 'node:t' items, got '{item}'")
+        halts.append((_parse_scalar(key, parts[0], int),
+                      _parse_scalar(key, parts[1], float)))
     return tuple(halts)
 
 
 def _parse_probes(raw: str) -> tuple[RouteProbe, ...]:
+    key = "sim.probes"
     probes = []
     for item in _split_items(raw):
         parts = item.split(":")
         if len(parts) != 4:
             raise ConfigFileError(
-                f"key 'sim.probes': expected 'at:src:x:y' items, got '{item}'")
+                f"key '{key}': expected 'at:src:x:y' items, got '{item}'")
         probes.append(RouteProbe(
-            at=float(parts[0]), src=int(parts[1]),
-            dest=Position(float(parts[2]), float(parts[3]))))
+            at=_parse_scalar(key, parts[0], float),
+            src=_parse_scalar(key, parts[1], int),
+            dest=Position(_parse_scalar(key, parts[2], float),
+                          _parse_scalar(key, parts[3], float))))
     return tuple(probes)
 
 

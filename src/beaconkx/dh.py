@@ -21,9 +21,7 @@ SYMMETRIC_KEY_LEN = 16
 # Default Miller-Rabin round count: error probability <= 4^-40.
 DEFAULT_PRIMALITY_ROUNDS = 40
 
-# Default modulus size in bits for production use; tests and benchmarks
-# may go as low as MIN_MODULUS_BITS.
-DEFAULT_MODULUS_BITS = 512
+# Smallest modulus size accepted by parameter generation.
 MIN_MODULUS_BITS = 16
 
 _SMALL_PRIMES = (
@@ -76,18 +74,11 @@ class DhKeyPair:
     public_value: int
 
 
-@dataclass(frozen=True)
-class SharedSecret:
-    """Agreed value ``S`` in ``[0, p)``; feed to :func:`derive_symmetric_key`."""
-
-    s: int
-
-
 def mod_exp(base: int, exponent: int, modulus: int) -> int:
-    """Compute ``base ** exponent % modulus`` by binary square-and-multiply.
+    """Compute ``base ** exponent % modulus`` with builtin ``pow``.
 
-    Runs in O(bit_length(exponent)) modular multiplications rather than
-    O(exponent), which is what makes large-exponent key agreement usable.
+    The checks are part of the contract, not of ``pow``: ``pow`` reads a
+    negative exponent as a modular inverse and accepts a modulus of 1.
 
     Raises:
         InvalidModulusError: if ``modulus < 2``.
@@ -97,15 +88,7 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
         raise InvalidModulusError(f"modulus must be >= 2, got {modulus}")
     if base < 0 or exponent < 0:
         raise DhError("base and exponent must be non-negative")
-    result = 1
-    base %= modulus
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        e >>= 1
-    return result
+    return pow(base, exponent, modulus)
 
 
 def is_probable_prime(n: int, rounds: int = DEFAULT_PRIMALITY_ROUNDS,
@@ -188,8 +171,8 @@ def keypair_from_private(params: DhParams, private_exponent: int) -> DhKeyPair:
 
 
 def compute_shared_secret(params: DhParams, own_private: int,
-                          peer_public: int) -> SharedSecret:
-    """Raise the peer's public value to our secret exponent.
+                          peer_public: int) -> int:
+    """Raise the peer's public value to our secret exponent: ``S`` in ``[0, p)``.
 
     Peer values of 0, 1 and p-1 are rejected along with anything outside
     (0, p): they force the secret into {0, 1, p-1} regardless of our
@@ -198,10 +181,10 @@ def compute_shared_secret(params: DhParams, own_private: int,
     if not 2 <= peer_public <= params.p - 2:
         raise InvalidPeerValueError(
             f"peer public value must be in [2, p-2], got {peer_public}")
-    return SharedSecret(s=mod_exp(peer_public, own_private, params.p))
+    return mod_exp(peer_public, own_private, params.p)
 
 
-def derive_symmetric_key(secret: SharedSecret) -> bytes:
+def derive_symmetric_key(secret: int) -> bytes:
     """Flatten a shared secret into exactly 16 octets.
 
     Takes the 16 least-significant octets of the big-endian encoding,
@@ -209,4 +192,4 @@ def derive_symmetric_key(secret: SharedSecret) -> bytes:
     truncation rather than a hash: the mapping stays auditable in tests,
     and it is injective for secrets below 2**128.
     """
-    return (secret.s & ((1 << 128) - 1)).to_bytes(SYMMETRIC_KEY_LEN, "big")
+    return (secret & ((1 << 128) - 1)).to_bytes(SYMMETRIC_KEY_LEN, "big")

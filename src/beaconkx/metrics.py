@@ -172,5 +172,7 @@ def _pair_latencies(first_beacon_tx: dict[int, float],
                             if t is not None]
         if not start_candidates:
             continue
-        latencies.append(max(t_ab, t_ba) - min(start_candidates))
+        # Endpoints at the trace file's six decimals, so that a replay
+        # from the file measures the same latencies as the run itself.
+        latencies.append(round(max(t_ab, t_ba), 6) - round(min(start_candidates), 6))
     return latencies

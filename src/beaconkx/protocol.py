@@ -163,8 +163,8 @@ class NodeState:
             public_value=payload,
         )
 
-    def on_timer_beacon(self, now: float) -> list[BeaconPacket]:
-        """Periodic timer: emit one beacon.
+    def on_timer_beacon(self, now: float) -> BeaconPacket:
+        """Periodic timer: return the one beacon to broadcast.
 
         The caller expires stale neighbors first (``expire_neighbors``),
         once per timer, so that every drop can be recorded. Advances
@@ -177,7 +177,7 @@ class NodeState:
         for entry in self.neighbors.values():
             if entry.state is HandshakeState.NONE:
                 entry.state = HandshakeState.PENDING
-        return [beacon]
+        return beacon
 
     # ------------------------------------------------------------------
     # receive paths

@@ -16,7 +16,7 @@ around its sender; an ACK's is its live addressee. Liveness is checked
 per candidate at the send instant, which is not monotone in event order:
 with crypto costs on, an ACK leaves at the end of the responder's secret
 computation, after the delivery that prompted it. A node that halts
-inside that window sends no ACK.
+inside that window records no key and sends no ACK.
 
 Everything is driven by one event heap ordered by
 ``(time, kind, node, insertion sequence)``, and every random draw comes
@@ -42,7 +42,7 @@ from enum import Enum, IntEnum
 from typing import Mapping
 
 from .codec import BeaconPacket, PacketType, Position, decode_packet, encode_packet
-from .dh import generate_dh_params
+from .dh import MIN_MODULUS_BITS, generate_dh_params
 from .grid import CellGrid, pairs_in_range
 from .metrics import Metrics, compute_metrics
 from .protocol import DhMode, NodeConfig, NodeState, distance, make_node
@@ -156,6 +156,9 @@ class SimConfig:
         """Raise :class:`ConfigError` naming the config key at fault."""
         if self.n_vehicles < 1:
             raise ConfigError("sim.n_vehicles must be >= 1")
+        if self.dh_bits < MIN_MODULUS_BITS:
+            raise ConfigError(
+                f"sim.dh_bits must be >= {MIN_MODULUS_BITS}, got {self.dh_bits}")
         _check_number("sim.area_width", self.area[0], positive=True)
         _check_number("sim.area_height", self.area[1], positive=True)
         _check_number("sim.radio_range", self.radio_range, positive=True)
@@ -333,8 +336,6 @@ class Simulation:
         self._heap: list[tuple[float, int, int, int, object]] = []
         self._seq = 0
         self._halt_at = dict(config.halts)
-        self._setup_done: set[int] = set()
-        self._deferred_timer_origin: dict[int, float] = {}
         self._rng_loss = random.Random(f"{config.seed}/loss")
         self._rng_move = random.Random(f"{config.seed}/move")
         self._build_fleet()
@@ -377,10 +378,13 @@ class Simulation:
     def _schedule_initial(self) -> None:
         cfg = self.config
         rng_timer = random.Random(f"{cfg.seed}/timer")
+        # One-time key material setup charges its cost before the first
+        # beacon can leave the node; a timer's payload is its own time.
+        setup = cfg.crypto_costs.param_gen if cfg.crypto_costs else 0.0
         for node_id in sorted(self.nodes):
             jitter = rng_timer.uniform(0, cfg.node_config.beacon_interval)
             self.nodes[node_id].next_beacon_at = jitter
-            self._push(jitter, EventKind.BEACON_TIMER, node_id, None)
+            self._push(jitter + setup, EventKind.BEACON_TIMER, node_id, jitter)
         if cfg.speed_range[1] > 0:
             self._push(MOBILITY_TICK_INTERVAL, EventKind.MOBILITY_TICK, 0, None)
         for index, probe in enumerate(cfg.probes):
@@ -427,28 +431,20 @@ class Simulation:
 
     # -- event handlers --------------------------------------------------
 
-    def _handle_beacon_timer(self, node_id: int, now: float) -> None:
+    def _handle_beacon_timer(self, node_id: int, now: float,
+                             timer_at: float) -> None:
         if self._halted(node_id, now):
             return
-        cfg = self.config
         state = self.nodes[node_id]
-        if cfg.crypto_costs is not None and node_id not in self._setup_done:
-            # One-time key material setup charges the configured cost
-            # before the first beacon can leave the node.
-            self._setup_done.add(node_id)
-            self._deferred_timer_origin[node_id] = now
-            self._push(now + cfg.crypto_costs.param_gen,
-                       EventKind.BEACON_TIMER, node_id, None)
-            return
-        timer_at = self._deferred_timer_origin.pop(node_id, now)
         for expired in state.expire_neighbors(now):
             self._emit(now, EV_NEIGHBOR_EXPIRED, node_id, expired)
-        for beacon in state.on_timer_beacon(now):
-            raw = encode_packet(beacon)
-            self._emit(now, EV_BEACON_TX, node_id, None, {
-                "len": len(raw), "timer_at": timer_at, "version": beacon.version})
-            self._send(now, node_id, beacon.ptype, None, raw)
-        self._push(state.next_beacon_at, EventKind.BEACON_TIMER, node_id, None)
+        beacon = state.on_timer_beacon(now)
+        raw = encode_packet(beacon)
+        self._emit(now, EV_BEACON_TX, node_id, None, {
+            "len": len(raw), "timer_at": timer_at, "version": beacon.version})
+        self._send(now, node_id, beacon.ptype, None, raw)
+        self._push(state.next_beacon_at, EventKind.BEACON_TIMER, node_id,
+                   state.next_beacon_at)
 
     def _send(self, now: float, sender: int, ptype: PacketType,
               dest: int | None, raw: bytes) -> None:
@@ -492,7 +488,9 @@ class Simulation:
     def _emit_key_change(self, state: NodeState, peer: int,
                          prev_key: bytes | None, at: float) -> None:
         new_key = self._current_key(state, peer)
-        if new_key is not None and new_key != prev_key:
+        # A node that halts while computing the secret never records it.
+        if (new_key is not None and new_key != prev_key
+                and not self._halted(state.node_id, at)):
             self._emit(at, EV_KEY_ESTABLISHED, state.node_id, peer,
                        {"key": new_key.hex()})
 
@@ -531,7 +529,7 @@ class Simulation:
             if kind == EventKind.END:
                 break
             if kind == EventKind.BEACON_TIMER:
-                self._handle_beacon_timer(node, at)
+                self._handle_beacon_timer(node, at, payload)
             elif kind == EventKind.PACKET_DELIVERY:
                 self._handle_delivery(node, at, payload)
             elif kind == EventKind.MOBILITY_TICK:

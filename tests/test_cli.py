@@ -67,6 +67,22 @@ class TestRunCommand:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize("line, key", [
+        ("sim.placements = 1,2; a,b", "sim.placements"),
+        ("sim.halts = x:1", "sim.halts"),
+        ("sim.probes = 1:1:a:b", "sim.probes"),
+        ("sim.dh_bits = 8", "sim.dh_bits"),
+    ])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, line, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"sim.n_vehicles = 2\nsim.duration = 5\n{line}\n")
+        code = main(["run", "--config", str(bad),
+                     "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.json")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_repeat_runs_byte_identical(self, tmp_path, two_node_cfg):
         paths = []
         for name in ("a", "b"):

@@ -1,6 +1,8 @@
 import pytest
 
 from beaconkx.metrics import compute_metrics
+from beaconkx.protocol import DhMode
+from beaconkx.sim import Mobility, SimConfig, run
 from beaconkx.trace import (
     EV_ACK_RX,
     EV_ACK_TX,
@@ -117,3 +119,17 @@ class TestSerialization:
                       "handshake_latency_mean", "handshake_latency_p95",
                       "expiries", "bytes_on_air", "table_samples"):
             assert f'"{field}"' in text
+
+    @pytest.mark.parametrize("seed", [1, 10])
+    def test_replay_from_file_equals_run(self, seed):
+        # The file keeps six decimals of every time; latencies must not
+        # depend on the digits it drops.
+        cfg = SimConfig(n_vehicles=10, area=(150.0, 150.0), speed_range=(5.0, 15.0),
+                        mobility=Mobility.RANDOM_WAYPOINT, loss_rate=0.2,
+                        duration=6.0, dh_bits=64, dh_mode=DhMode.PER_NODE_PARAMS,
+                        seed=seed)
+        trace, metrics = run(cfg)
+        replayed = compute_metrics(Trace.from_jsonl(trace.to_jsonl()),
+                                   radio_range=cfg.radio_range,
+                                   duration=cfg.duration)
+        assert replayed.to_json() == metrics.to_json()

@@ -14,7 +14,7 @@ from beaconkx.codec import (
     int_to_magnitude,
     magnitude_to_int,
 )
-from beaconkx.dh import DhParams, derive_symmetric_key, keypair_from_private, SharedSecret
+from beaconkx.dh import DhParams, derive_symmetric_key, keypair_from_private
 from beaconkx.protocol import (
     DhMode,
     HandshakeState,
@@ -26,7 +26,7 @@ from beaconkx.protocol import (
 )
 
 TEXTBOOK_PARAMS = DhParams(p=23, w=5)
-KEY_FOR_SECRET_2 = derive_symmetric_key(SharedSecret(2))
+KEY_FOR_SECRET_2 = derive_symmetric_key(2)
 
 
 def textbook_node(node_id: int, private: int, pos=Position(0.0, 0.0),
@@ -110,9 +110,8 @@ class TestEffectiveInterval:
 class TestBeaconTimer:
     def test_emits_reference_beacon(self):
         node = textbook_node(1, 6)  # public value 8
-        packets = node.on_timer_beacon(0.0)
-        assert len(packets) == 1
-        assert encode_packet(packets[0]).hex(" ") == (
+        beacon = node.on_timer_beacon(0.0)
+        assert encode_packet(beacon).hex(" ") == (
             "00 00 00 01 01 01 00 13 00 00 00 00 00 00 00 00 00 01 08")
 
     def test_fixed_interval_advances_exactly(self):
@@ -124,7 +123,7 @@ class TestBeaconTimer:
 
     def test_beacon_carries_current_position(self):
         node = textbook_node(1, 6, pos=Position(12.5, -7.25))
-        (pkt,) = node.on_timer_beacon(0.0)
+        pkt = node.on_timer_beacon(0.0)
         assert pkt.src_pos == Position(12.5, -7.25)
 
     def test_timer_leaves_expiry_to_caller(self):
@@ -147,7 +146,7 @@ class TestHandshake:
     def test_responder_establishes_and_acks(self):
         initiator = textbook_node(1, 6)     # alpha = 8
         responder = textbook_node(2, 15)    # beta = 19
-        (beacon,) = initiator.on_timer_beacon(0.0)
+        beacon = initiator.on_timer_beacon(0.0)
 
         ack = responder.on_receive_beacon(beacon, 0.1)
         entry = responder.neighbors[1]
@@ -161,7 +160,7 @@ class TestHandshake:
     def test_initiator_completes_from_ack(self):
         initiator = textbook_node(1, 6)
         responder = textbook_node(2, 15)
-        (beacon,) = initiator.on_timer_beacon(0.0)
+        beacon = initiator.on_timer_beacon(0.0)
         ack = responder.on_receive_beacon(beacon, 0.1)
 
         initiator.on_receive_ack(ack, 0.2)
@@ -172,7 +171,7 @@ class TestHandshake:
     def test_repeat_beacon_refreshes_without_rekeying(self):
         initiator = textbook_node(1, 6)
         responder = textbook_node(2, 15)
-        (beacon,) = initiator.on_timer_beacon(0.0)
+        beacon = initiator.on_timer_beacon(0.0)
         responder.on_receive_beacon(beacon, 0.1)
         key_before = responder.neighbors[1].key
 
@@ -216,7 +215,7 @@ class TestHandshake:
 
     def test_own_beacon_ignored(self):
         node = textbook_node(1, 6)
-        (beacon,) = node.on_timer_beacon(0.0)
+        beacon = node.on_timer_beacon(0.0)
         assert node.on_receive_beacon(beacon, 0.1) is None
         assert node.neighbors == {}
 
@@ -231,7 +230,7 @@ class TestPerNodeParams:
                               DhMode.PER_NODE_PARAMS, rng=rng, dh_bits=64)
         assert initiator.dh_params != responder.dh_params
 
-        (beacon,) = initiator.on_timer_beacon(0.0)
+        beacon = initiator.on_timer_beacon(0.0)
         assert beacon.version == 2
         ack = responder.on_receive_beacon(beacon, 0.1)
         assert ack is not None and ack.version == 1
@@ -244,7 +243,7 @@ class TestPerNodeParams:
         node = make_node(1, Position(0.0, 0.0), NodeConfig(),
                          DhMode.PER_NODE_PARAMS, rng=random.Random(1),
                          dh_bits=64)
-        (beacon,) = node.on_timer_beacon(0.0)
+        beacon = node.on_timer_beacon(0.0)
         assert decode_packet(encode_packet(beacon)) == beacon
 
     def test_rekey_is_stable_across_repeat_exchanges(self):
@@ -256,7 +255,7 @@ class TestPerNodeParams:
                               dh_bits=64)
         keys = set()
         for t in (0.0, 1.0, 2.0):
-            (beacon,) = initiator.on_timer_beacon(t)
+            beacon = initiator.on_timer_beacon(t)
             ack = responder.on_receive_beacon(beacon, t + 0.1)
             initiator.on_receive_ack(ack, t + 0.2)
             keys.add(responder.neighbors[1].key)

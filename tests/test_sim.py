@@ -447,15 +447,28 @@ class TestHalt:
 
 
 class TestHaltWhileComputingAck:
+    BASE = two_node_config(100.0, crypto_costs=CryptoCosts(0.0, 0.05, 0.05),
+                           duration=5.0, seed=1, **FAST_DH)
+
+    def halt_after_first(self, ev):
+        """Halt the receiver of the first ``ev`` 0.01 s later, inside its
+        0.05 s secret computation; return the node, halt time and trace."""
+        trace, _ = run(self.BASE)
+        first = min((r for r in trace if r.ev == ev), key=lambda r: r.t)
+        halt_at = first.t + 0.01
+        trace, _ = run(replace(self.BASE, halts=((first.node, halt_at),)))
+        return first.node, halt_at, trace
+
     def test_responder_halting_before_its_ack_leaves_sends_nothing(self):
-        base = two_node_config(100.0, crypto_costs=CryptoCosts(0.0, 0.05, 0.05),
-                               duration=5.0, seed=1, **FAST_DH)
-        trace, _ = run(base)
-        first_rx = min((r for r in trace if r.ev == EV_BEACON_RX), key=lambda r: r.t)
-        responder = first_rx.node
-        trace, _ = run(replace(base, halts=((responder, first_rx.t + 0.01),)))
+        responder, halt_at, trace = self.halt_after_first(EV_BEACON_RX)
         assert not [r for r in trace if r.ev == EV_ACK_TX and r.node == responder]
         assert not [r for r in trace if r.ev == EV_ACK_RX and r.peer == responder]
+        assert not [r for r in trace if r.node == responder and r.t >= halt_at]
+
+    def test_initiator_halting_before_its_key_is_computed_writes_nothing(self):
+        initiator, halt_at, trace = self.halt_after_first(EV_ACK_RX)
+        assert [r for r in trace if r.ev == EV_ACK_RX and r.node == initiator]
+        assert not [r for r in trace if r.node == initiator and r.t >= halt_at]
 
 
 class TestExpiryOncePerTimer:
