@@ -1,5 +1,5 @@
-"""Command-line harness: run simulations, benchmark the crypto, manage
-golden packet vectors.
+"""Command-line harness: run simulations, replay metrics from a saved
+trace, benchmark the crypto, manage golden packet vectors.
 
 Exit codes are a stable contract: 0 success, 1 runtime/I-O failure,
 2 usage or configuration error.
@@ -32,7 +32,9 @@ from .dh import (
     generate_dh_params,
     generate_keypair,
 )
-from .sim import ConfigError, run
+from .metrics import compute_metrics
+from .sim import ConfigError, SimConfig, run
+from .trace import Trace, TraceFormatError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -152,14 +154,20 @@ def _print_bench(result: BenchResult, out) -> None:
               "host, for scale only", file=out)
 
 
-def _cmd_run(args) -> int:
+def _load_config(path: str) -> SimConfig | None:
+    """The config at ``path``, or None after printing why it is unusable."""
     try:
-        config = load_config_file(args.config)
+        return load_config_file(path)
     except OSError as exc:
-        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def _cmd_run(args) -> int:
+    config = _load_config(args.config)
+    if config is None:
         return EXIT_USAGE
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -174,6 +182,31 @@ def _cmd_run(args) -> int:
         return EXIT_RUNTIME
     print(f"simulated {config.duration:g} s, {len(trace)} trace events, "
           f"{metrics.handshakes_completed} handshakes")
+    return EXIT_OK
+
+
+def _cmd_metrics(args) -> int:
+    config = _load_config(args.config)
+    if config is None:
+        return EXIT_USAGE
+    try:
+        with open(args.trace, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        print(f"error: cannot read trace {args.trace}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        trace = Trace.from_jsonl(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        print(f"error: {args.trace}: line {lineno}: not UTF-8 text", file=sys.stderr)
+        return EXIT_USAGE
+    except TraceFormatError as exc:
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    metrics = compute_metrics(trace, radio_range=config.radio_range,
+                              duration=config.duration)
+    sys.stdout.write(metrics.to_json())
     return EXIT_OK
 
 
@@ -243,6 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--metrics", default="metrics.json",
                        help="output metrics path (JSON)")
     p_run.set_defaults(func=_cmd_run)
+
+    p_met = sub.add_parser(
+        "metrics", help="recompute the metrics of a saved trace file")
+    p_met.add_argument("--config", required=True,
+                       help="config of the run (gives radio range and duration)")
+    p_met.add_argument("--trace", required=True, help="trace file (JSON lines)")
+    p_met.set_defaults(func=_cmd_metrics)
 
     p_bench = sub.add_parser("bench", help="time the key-agreement steps")
     p_bench.add_argument("--bits", type=int, default=512)

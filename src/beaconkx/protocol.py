@@ -21,6 +21,10 @@ Two key-agreement deployments are supported:
   start-up; beacons are version 2 and carry (p, w, public) so that the
   responder can compute inside the initiator's group. ACKs always carry
   a bare public value (the responder's, in the initiator's group).
+
+A node remembers every shared secret it has computed (as the key derived
+from it), keyed by the inputs of the exponentiation, so an exchange it
+has already done is never computed twice.
 """
 
 from __future__ import annotations
@@ -75,10 +79,6 @@ class NeighborEntry:
     last_seen: float
     state: HandshakeState = HandshakeState.NONE
     key: bytes | None = None
-    peer_public: int | None = None
-    # Group the current key (or last attempt) was computed in; needed to
-    # tell whether a fresh public value actually changes the exchange.
-    peer_params: DhParams | None = None
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,12 @@ class NodeState:
     # mode). Kept outside the table so a re-appearing neighbor re-derives
     # the same key; keyed by peer id.
     _responder_keys: dict[int, tuple[DhParams, DhKeyPair]] = field(
+        default_factory=dict, repr=False)
+    # Keys derived from the shared secrets computed so far, keyed by the
+    # exponentiation's inputs (p, own private exponent, peer public value).
+    # In per-node mode an entry alternates between the exchange in our
+    # group and the one in the peer's; each flip is a lookup here.
+    _keys: dict[tuple[int, int, int], bytes] = field(
         default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
@@ -200,7 +206,7 @@ class NodeState:
         entry = self._refresh_entry(pkt.identifiant, pkt.src_pos, now)
 
         if params is None:
-            self._mark_failed(entry, peer_public)
+            self._mark_failed(entry)
             return None
 
         if self.dh_mode is DhMode.PER_NODE_PARAMS and pkt.version == VERSION_PARAM_TRIPLE:
@@ -230,7 +236,7 @@ class NodeState:
         try:
             peer_public = magnitude_to_int(pkt.public_value)
         except ValueError:
-            self._mark_failed(entry, None)
+            self._mark_failed(entry)
             return
         # The ack answers in our own group.
         self._try_establish(entry, self.dh_params,
@@ -276,8 +282,8 @@ class NodeState:
         """Extract the governing group and the sender's public value.
 
         Version-2 beacons name their own group; anything else is read
-        against our group. Returns (None, public) when the advertised
-        group is unusable.
+        against our group. Returns (None, None) when the payload names
+        no usable group or value.
         """
         if pkt.version == VERSION_PARAM_TRIPLE and pkt.ptype is PacketType.BEACON:
             try:
@@ -310,29 +316,22 @@ class NodeState:
         return keypair
 
     def _try_establish(self, entry: NeighborEntry, params: DhParams,
-                       own_private: int, peer_public: int | None) -> None:
-        if peer_public is None:
-            self._mark_failed(entry, None)
-            return
-        if (entry.key is not None and entry.peer_public == peer_public
-                and entry.peer_params == params):
-            # Same exchange as last time; nothing to recompute.
-            return
-        entry.peer_public = peer_public
-        entry.peer_params = params
-        try:
-            secret = compute_shared_secret(params, own_private, peer_public)
-        except DhError:
-            entry.state = HandshakeState.NONE
-            entry.key = None
-            return
-        entry.key = derive_symmetric_key(secret)
+                       own_private: int, peer_public: int) -> None:
+        exchange = (params.p, own_private, peer_public)
+        key = self._keys.get(exchange)
+        if key is None:
+            try:
+                secret = compute_shared_secret(params, own_private, peer_public)
+            except DhError:
+                # Never remembered: a bad value is rejected on every arrival.
+                self._mark_failed(entry)
+                return
+            key = self._keys[exchange] = derive_symmetric_key(secret)
+        entry.key = key
         entry.state = HandshakeState.ESTABLISHED
 
     @staticmethod
-    def _mark_failed(entry: NeighborEntry, peer_public: int | None) -> None:
-        entry.peer_public = peer_public
-        entry.peer_params = None
+    def _mark_failed(entry: NeighborEntry) -> None:
         entry.state = HandshakeState.NONE
         entry.key = None
 

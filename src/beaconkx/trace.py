@@ -13,6 +13,7 @@ trace files on any platform.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 EV_BEACON_TX = "beacon_tx"
@@ -23,6 +24,10 @@ EV_KEY_ESTABLISHED = "key_established"
 EV_NEIGHBOR_EXPIRED = "neighbor_expired"
 EV_ROUTE_HOP = "route_hop"
 EV_ROUTE_LOCAL_MAX = "route_local_max"
+
+
+class TraceFormatError(ValueError):
+    """A trace line that is not a record; the message names the line."""
 
 
 def _fmt_value(value: object) -> str:
@@ -78,17 +83,43 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
+        """Parse ``to_jsonl`` text; blank lines are skipped.
+
+        A line that is not a record, a transmission without the integer
+        ``len`` the metrics replay sums, or a time that is NaN or earlier
+        than the line before raises ``TraceFormatError`` naming its line
+        number: the replay needs records in time order.
+        """
         records = []
-        for line in text.splitlines():
+        last_t = -math.inf
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            records.append(TraceRecord(
-                t=float(obj["t"]),
-                ev=obj["ev"],
-                node=int(obj["node"]),
-                peer=None if obj["peer"] is None else int(obj["peer"]),
-                pos=(float(obj["pos"][0]), float(obj["pos"][1])),
-                extra=dict(obj["extra"]),
-            ))
+            try:
+                obj = json.loads(line)
+                record = TraceRecord(
+                    t=float(obj["t"]),
+                    ev=obj["ev"],
+                    node=int(obj["node"]),
+                    peer=None if obj["peer"] is None else int(obj["peer"]),
+                    pos=(float(obj["pos"][0]), float(obj["pos"][1])),
+                    extra=dict(obj["extra"]),
+                )
+                if record.ev in (EV_BEACON_TX, EV_ACK_TX):
+                    int(record.extra["len"])
+            except (ValueError, KeyError, TypeError, IndexError) as exc:
+                raise TraceFormatError(f"line {lineno}: {_reason(exc)}") from exc
+            if not record.t >= last_t:
+                raise TraceFormatError(
+                    f"line {lineno}: time {record.t} out of order after {last_t}")
+            last_t = record.t
+            records.append(record)
         return cls(records)
+
+
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"not JSON ({exc.msg})"
+    if isinstance(exc, KeyError):
+        return f"missing field {exc}"
+    return f"malformed record ({exc})"

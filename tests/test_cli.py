@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from beaconkx.cli import golden_vector_lines, main, run_bench
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 TWO_NODE_CFG = """
 sim.n_vehicles = 2
@@ -103,6 +107,87 @@ class TestRunCommand:
                          "--metrics", str(tmp_path / f"s{seed}.json")]) == 0
             out.append(trace.read_bytes())
         assert out[0] != out[1]
+
+
+# lossy, mobile, one group per node, run long enough to sample tables
+REPLAY_CFG = """
+sim.n_vehicles = 10
+sim.area_width = 150
+sim.area_height = 150
+sim.mobility = random_waypoint
+sim.speed_min = 5
+sim.speed_max = 15
+sim.loss_rate = 0.2
+sim.duration = 6
+sim.seed = 10
+sim.dh_bits = 64
+sim.dh_mode = per_node
+"""
+
+
+class TestMetricsCommand:
+    @pytest.fixture
+    def saved_run(self, tmp_path):
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text(REPLAY_CFG)
+        trace, metrics = tmp_path / "out.jsonl", tmp_path / "m.json"
+        assert main(["run", "--config", str(cfg), "--trace", str(trace),
+                     "--metrics", str(metrics)]) == 0
+        return cfg, trace, metrics
+
+    def test_replay_equals_metrics_of_the_run(self, saved_run, capsys):
+        cfg, trace, metrics = saved_run
+        capsys.readouterr()
+        assert main(["metrics", "--config", str(cfg), "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == metrics.read_text()
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"t": 1.0, "ev": "beacon_tx"',                       # cut short
+        '{"t": 1.0, "ev": "beacon_rx", "node": 1, "peer": 2}',  # no pos
+        '{"t": "x", "ev": "ack_rx", "node": 1, "peer": 2, '
+        '"pos": [0.0, 0.0], "extra": {}}',
+        '{"t": 1.0, "ev": "ack_tx", "node": 1, "peer": 2, '
+        '"pos": [0.0, 0.0], "extra": {}}',                     # no len
+        '[1, 2, 3]',
+        '{"t": 0.0, "ev": "beacon_rx", "node": 1, "peer": 2, '
+        '"pos": [0.0, 0.0], "extra": {}}',                     # time goes back
+        '{"t": NaN, "ev": "beacon_rx", "node": 1, "peer": 2, '
+        '"pos": [0.0, 0.0], "extra": {}}',
+    ])
+    def test_malformed_line_exits_2_naming_it(self, saved_run, capsys, bad_line):
+        cfg, trace, _ = saved_run
+        lines = trace.read_text().splitlines()
+        lines[4] = bad_line
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["metrics", "--config", str(cfg), "--trace", str(trace)]) == 2
+        assert "line 5" in capsys.readouterr().err
+
+    def test_unreadable_line_exits_2_naming_it(self, saved_run, capsys):
+        cfg, trace, _ = saved_run
+        raw = trace.read_bytes().split(b"\n")
+        raw[2] = raw[2][:10] + b"\xff\xfe" + raw[2][10:]
+        trace.write_bytes(b"\n".join(raw))
+        capsys.readouterr()
+        assert main(["metrics", "--config", str(cfg), "--trace", str(trace)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_missing_trace_exits_2(self, tmp_path, two_node_cfg, capsys):
+        code = main(["metrics", "--config", str(two_node_cfg),
+                     "--trace", str(tmp_path / "missing.jsonl")])
+        assert code == 2
+        assert "missing.jsonl" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_matches_main(self, capsys):
+        assert main(["vectors", "--emit"]) == 0
+        expected = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-m", "beaconkx", "vectors", "--emit"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout == expected
 
 
 class TestBenchCommand:

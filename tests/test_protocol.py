@@ -11,6 +11,7 @@ from beaconkx.codec import (
     Position,
     decode_packet,
     encode_packet,
+    encode_param_triple,
     int_to_magnitude,
     magnitude_to_int,
 )
@@ -207,10 +208,10 @@ class TestHandshake:
                            public_value=int_to_magnitude(19))
         initiator.on_receive_ack(ack, 0.3)
         first = initiator.neighbors[7]
-        snapshot = (first.state, first.key, first.peer_public, first.position)
+        snapshot = (first.state, first.key, first.position)
         initiator.on_receive_ack(ack, 0.4)
         second = initiator.neighbors[7]
-        assert (second.state, second.key, second.peer_public, second.position) == snapshot
+        assert (second.state, second.key, second.position) == snapshot
         assert second.last_seen == 0.4
 
     def test_own_beacon_ignored(self):
@@ -262,6 +263,26 @@ class TestPerNodeParams:
             keys.add(initiator.neighbors[2].key)
         assert len(keys) == 1  # cached responder pair keeps the key stable
 
+
+    def test_beacon_in_own_group_keys_with_responder_exponent(self):
+        # Node 3's first responder exponent in the 23/5 group is 9, not
+        # its own 6, so the two exchanges give different secrets.
+        node = textbook_node(3, 6, mode=DhMode.PER_NODE_PARAMS)
+        ack = BeaconPacket(identifiant=7, version=1, ptype=PacketType.ACK,
+                           src_pos=Position(1.0, 0.0),
+                           public_value=int_to_magnitude(19))
+        node.on_receive_ack(ack, 0.1)
+        assert node.neighbors[7].key == derive_symmetric_key(pow(19, 6, 23))
+
+        beacon = BeaconPacket(identifiant=7, version=2, ptype=PacketType.BEACON,
+                              src_pos=Position(1.0, 0.0),
+                              public_value=encode_param_triple(23, 5, 19))
+        reply = node.on_receive_beacon(beacon, 0.2)
+        responder_private = node._responder_keys[7][1].private_exponent
+        assert responder_private != 6
+        assert magnitude_to_int(reply.public_value) == pow(5, responder_private, 23)
+        assert node.neighbors[7].key == derive_symmetric_key(
+            pow(19, responder_private, 23))
 
 class TestExpiry:
     def test_silent_entry_removed(self):

@@ -504,6 +504,33 @@ class TestExpiryOncePerTimer:
             assert set(state.neighbors) == tables[node_id], node_id
 
 
+class TestSecretMemo:
+    # Lossy and mobile, one group per node: an entry's key keeps flipping
+    # between the exchange in the node's group and the one in the peer's.
+    FLIPPING = SimConfig(n_vehicles=8, area=(300.0, 300.0), radio_range=250.0,
+                         speed_range=(5.0, 15.0), mobility=Mobility.RANDOM_WAYPOINT,
+                         duration=8.0, loss_rate=0.25, seed=1,
+                         dh_mode=DhMode.PER_NODE_PARAMS, **FAST_DH)
+
+    def test_no_exponentiation_is_repeated(self, monkeypatch):
+        import beaconkx.protocol as protocol
+
+        unpatched, _ = run(self.FLIPPING)
+        calls = []
+        original = protocol.compute_shared_secret
+
+        def recorded(params, own_private, peer_public):
+            calls.append((params.p, own_private, peer_public))
+            return original(params, own_private, peer_public)
+
+        monkeypatch.setattr(protocol, "compute_shared_secret", recorded)
+        trace, _ = run(self.FLIPPING)
+        assert calls
+        assert len(set(calls)) == len(calls)
+        assert sum(r.ev == EV_KEY_ESTABLISHED for r in trace) > len(calls)
+        assert trace.to_jsonl() == unpatched.to_jsonl()
+
+
 class TestMobilityExpiry:
     def test_node_leaving_range_is_expired(self):
         cfg = SimConfig(n_vehicles=2,
