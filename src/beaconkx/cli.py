@@ -1,8 +1,9 @@
 """Command-line harness: run simulations, replay metrics from a saved
 trace, benchmark the crypto, manage golden packet vectors.
 
-Exit codes are a stable contract: 0 success, 1 runtime/I-O failure,
-2 usage or configuration error.
+Exit codes are a stable contract: 0 success, 1 a failure while running
+(an output that cannot be written), 2 usage or input error, a missing or
+unreadable input file included.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def _cmd_vectors(args) -> int:
             lines = handle.readlines()
     except OSError as exc:
         print(f"error: cannot read vector file: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_USAGE
     failure = check_vector_lines(lines)
     if failure is not None:
         lineno, reason = failure

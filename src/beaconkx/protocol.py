@@ -22,9 +22,15 @@ Two key-agreement deployments are supported:
   responder can compute inside the initiator's group. ACKs always carry
   a bare public value (the responder's, in the initiator's group).
 
-A node remembers every shared secret it has computed (as the key derived
-from it), keyed by the inputs of the exponentiation, so an exchange it
-has already done is never computed twice.
+Keys derived from shared secrets live in a :class:`SecretMemo` that a
+simulation shares across its fleet, keyed by the inputs of the
+exponentiation ``(p, own private exponent, peer public value)``. Both
+ends of an exchange need the same value, since ``Y^x = X^y`` when
+``X = w^x`` and ``Y = w^y``, so the end that computes it first also
+stores it under the other end's inputs. That mirror entry is written
+only for key pairs the program generated itself, in one group, and only
+when the other end's peer value passes the range check; anything else
+is computed, and checked, on every arrival.
 """
 
 from __future__ import annotations
@@ -81,6 +87,49 @@ class NeighborEntry:
     key: bytes | None = None
 
 
+class SecretMemo:
+    """Keys derived from shared secrets, by the exponentiation's inputs.
+
+    ``register`` records each key pair the program generates under
+    ``(p, w, public)``. ``key`` returns the key of ``pow(peer_public,
+    own private, p)``, computing it on a miss; when both public values
+    are registered in the exchange's group, it also stores the key under
+    the peer's inputs ``(p, y, X)``, because ``X^y = Y^x``. The peer's
+    range check on ``X`` is applied before that, so the mirror entry
+    answers exactly as ``compute_shared_secret`` would.
+    """
+
+    def __init__(self) -> None:
+        self._private: dict[tuple[int, int, int], int] = {}
+        self._keys: dict[tuple[int, int, int], bytes] = {}
+
+    def register(self, params: DhParams, keypair: DhKeyPair) -> None:
+        self._private[(params.p, params.w, keypair.public_value)] = (
+            keypair.private_exponent)
+
+    def key(self, params: DhParams, own: DhKeyPair, peer_public: int) -> bytes | None:
+        """The exchange's key, or None when ``peer_public`` is rejected.
+
+        A rejected value is never remembered, so it is checked again on
+        every arrival.
+        """
+        p, x, own_public = params.p, own.private_exponent, own.public_value
+        key = self._keys.get((p, x, peer_public))
+        if key is not None:
+            return key
+        try:
+            secret = compute_shared_secret(params, x, peer_public)
+        except DhError:
+            return None
+        key = self._keys[(p, x, peer_public)] = derive_symmetric_key(secret)
+        private = self._private
+        y = private.get((p, params.w, peer_public))
+        if (y is not None and private.get((p, params.w, own_public)) == x
+                and 2 <= own_public <= p - 2):
+            self._keys[(p, y, own_public)] = key
+        return key
+
+
 @dataclass(frozen=True)
 class NodeConfig:
     """Timing knobs for beaconing and expiry.
@@ -134,12 +183,11 @@ class NodeState:
     # the same key; keyed by peer id.
     _responder_keys: dict[int, tuple[DhParams, DhKeyPair]] = field(
         default_factory=dict, repr=False)
-    # Keys derived from the shared secrets computed so far, keyed by the
-    # exponentiation's inputs (p, own private exponent, peer public value).
-    # In per-node mode an entry alternates between the exchange in our
-    # group and the one in the peer's; each flip is a lookup here.
-    _keys: dict[tuple[int, int, int], bytes] = field(
-        default_factory=dict, repr=False)
+    # Keys of the exchanges done so far; a simulation shares one memo
+    # across its fleet. In per-node mode an entry alternates between the
+    # exchange in our group and the one in the peer's; each flip is a
+    # lookup here.
+    memo: SecretMemo = field(default_factory=SecretMemo, repr=False)
 
     # ------------------------------------------------------------------
     # beaconing
@@ -213,7 +261,7 @@ class NodeState:
             responder = self._responder_keypair(pkt.identifiant, params)
         else:
             responder = self.keypair
-        self._try_establish(entry, params, responder.private_exponent, peer_public)
+        self._try_establish(entry, params, responder, peer_public)
 
         return BeaconPacket(
             identifiant=self.node_id,
@@ -239,8 +287,7 @@ class NodeState:
             self._mark_failed(entry)
             return
         # The ack answers in our own group.
-        self._try_establish(entry, self.dh_params,
-                            self.keypair.private_exponent, peer_public)
+        self._try_establish(entry, self.dh_params, self.keypair, peer_public)
 
     # ------------------------------------------------------------------
     # table maintenance and forwarding
@@ -312,21 +359,16 @@ class NodeState:
         if cached is not None and cached[0] == params:
             return cached[1]
         keypair = generate_keypair(params, self.rng)
+        self.memo.register(params, keypair)
         self._responder_keys[peer_id] = (params, keypair)
         return keypair
 
     def _try_establish(self, entry: NeighborEntry, params: DhParams,
-                       own_private: int, peer_public: int) -> None:
-        exchange = (params.p, own_private, peer_public)
-        key = self._keys.get(exchange)
+                       own: DhKeyPair, peer_public: int) -> None:
+        key = self.memo.key(params, own, peer_public)
         if key is None:
-            try:
-                secret = compute_shared_secret(params, own_private, peer_public)
-            except DhError:
-                # Never remembered: a bad value is rejected on every arrival.
-                self._mark_failed(entry)
-                return
-            key = self._keys[exchange] = derive_symmetric_key(secret)
+            self._mark_failed(entry)
+            return
         entry.key = key
         entry.state = HandshakeState.ESTABLISHED
 
@@ -339,8 +381,13 @@ class NodeState:
 def make_node(node_id: int, position: Position, config: NodeConfig,
               dh_mode: DhMode, rng: random.Random,
               shared_params: DhParams | None = None,
-              dh_bits: int | None = None) -> NodeState:
-    """Stand up a node: group parameters (own or shared) plus a key pair."""
+              dh_bits: int | None = None,
+              memo: SecretMemo | None = None) -> NodeState:
+    """Stand up a node: group parameters (own or shared) plus a key pair.
+
+    Nodes given one ``memo`` share their exchanges' keys; without one the
+    node gets its own.
+    """
     if dh_mode is DhMode.GLOBAL_PARAMS:
         if shared_params is None:
             raise ValueError("global mode requires shared_params")
@@ -350,6 +397,8 @@ def make_node(node_id: int, position: Position, config: NodeConfig,
             raise ValueError("per-node mode requires dh_bits")
         params = generate_dh_params(dh_bits, rng)
     keypair = generate_keypair(params, rng)
+    memo = SecretMemo() if memo is None else memo
+    memo.register(params, keypair)
     return NodeState(
         node_id=node_id,
         own_position=position,
@@ -358,4 +407,5 @@ def make_node(node_id: int, position: Position, config: NodeConfig,
         dh_params=params,
         keypair=keypair,
         rng=rng,
+        memo=memo,
     )

@@ -16,7 +16,13 @@ around its sender; an ACK's is its live addressee. Liveness is checked
 per candidate at the send instant, which is not monotone in event order:
 with crypto costs on, an ACK leaves at the end of the responder's secret
 computation, after the delivery that prompted it. A node that halts
-inside that window records no key and sends no ACK.
+inside that window records no key and sends no ACK. A transmission is
+decoded once, at its first delivered recipient, and every delivery
+carries the decoded packet next to the bytes; trace lengths come from
+the bytes.
+
+The nodes share one ``protocol.SecretMemo``, so the two ends of a key
+exchange pay for one exponentiation between them.
 
 Everything is driven by one event heap ordered by
 ``(time, kind, node, insertion sequence)``, and every random draw comes
@@ -45,7 +51,7 @@ from .codec import BeaconPacket, PacketType, Position, decode_packet, encode_pac
 from .dh import MIN_MODULUS_BITS, generate_dh_params
 from .grid import CellGrid, pairs_in_range
 from .metrics import Metrics, compute_metrics
-from .protocol import DhMode, NodeConfig, NodeState, distance, make_node
+from .protocol import DhMode, NodeConfig, NodeState, SecretMemo, distance, make_node
 from .trace import (
     EV_ACK_RX,
     EV_ACK_TX,
@@ -60,6 +66,9 @@ from .trace import (
 )
 
 MOBILITY_TICK_INTERVAL = 0.1
+# Most per-vehicle timer events (beacon timers plus mobility updates) a
+# config may ask for; past it a run would not end in useful time.
+MAX_TIMER_EVENTS = 10**7
 
 
 class ConfigError(ValueError):
@@ -170,6 +179,15 @@ class SimConfig:
         _check_number("sim.speed_max", self.speed_range[1])
         if self.speed_range[0] > self.speed_range[1]:
             raise ConfigError("sim.speed_min must not exceed sim.speed_max")
+        node = self.node_config
+        period = node.interval_min if node.adaptive else node.beacon_interval
+        if self.speed_range[1] > 0:
+            period = min(period, MOBILITY_TICK_INTERVAL)
+        if self.n_vehicles * self.duration / period > MAX_TIMER_EVENTS:
+            raise ConfigError(
+                f"sim.duration {self.duration:g} needs more than "
+                f"{MAX_TIMER_EVENTS:.0e} timer events for {self.n_vehicles} "
+                f"vehicles, one per vehicle every {period:g} s")
         if self.placements is not None:
             if len(self.placements) != self.n_vehicles:
                 raise ConfigError(
@@ -348,6 +366,7 @@ class Simulation:
         rng_place = random.Random(f"{cfg.seed}/place")
         width, height = cfg.area
         shared_params = None
+        memo = SecretMemo()
         if cfg.dh_mode is DhMode.GLOBAL_PARAMS:
             shared_params = generate_dh_params(
                 cfg.dh_bits, random.Random(f"{cfg.seed}/group"))
@@ -372,6 +391,7 @@ class Simulation:
                 rng=random.Random(f"{cfg.seed}/node/{node_id}"),
                 shared_params=shared_params,
                 dh_bits=cfg.dh_bits,
+                memo=memo,
             )
         self._rebuild_grid()
 
@@ -451,16 +471,18 @@ class Simulation:
         outcomes = deliver_in_range(
             self._radio_view(now, sender, ptype, dest), sender, ptype, dest,
             self.config.radio_range, self.config.loss_rate, self._rng_loss)
+        payload = None
         for recipient, delivered in outcomes:
             if delivered:
+                if payload is None:
+                    payload = (sender, raw, decode_packet(raw))
                 self._push(now + self.config.prop_delay,
-                           EventKind.PACKET_DELIVERY, recipient, (sender, raw))
+                           EventKind.PACKET_DELIVERY, recipient, payload)
 
     def _handle_delivery(self, node_id: int, now: float, payload: object) -> None:
         if self._halted(node_id, now):
             return
-        sender, raw = payload
-        pkt = decode_packet(raw)
+        sender, raw, pkt = payload
         state = self.nodes[node_id]
         costs = self.config.crypto_costs
         prev_key = self._current_key(state, sender)

@@ -87,6 +87,20 @@ class TestRunCommand:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "t.jsonl").exists()
 
+    def test_endless_duration_exits_2(self, tmp_path):
+        # In a subprocess, so that a missing guard fails by timeout
+        # instead of hanging the suite.
+        cfg = tmp_path / "endless.cfg"
+        cfg.write_text("sim.n_vehicles = 2\nsim.dh_bits = 64\nsim.duration = 1e308\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-m", "beaconkx", "run", "--config", str(cfg),
+             "--trace", str(tmp_path / "t.jsonl"), "--metrics", str(tmp_path / "m.json")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "sim.duration" in done.stderr
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_repeat_runs_byte_identical(self, tmp_path, two_node_cfg):
         paths = []
         for name in ("a", "b"):
@@ -257,8 +271,9 @@ class TestVectorsCommand:
         assert main(["vectors", "--check", str(bad)]) == 2
         assert "line 1" in capsys.readouterr().err
 
-    def test_missing_vector_file_exits_1(self, tmp_path):
-        assert main(["vectors", "--check", str(tmp_path / "nope.hex")]) == 1
+    def test_missing_vector_file_exits_2(self, tmp_path, capsys):
+        assert main(["vectors", "--check", str(tmp_path / "nope.hex")]) == 2
+        assert "nope.hex" in capsys.readouterr().err
 
     def test_golden_lines_are_self_consistent(self):
         from beaconkx.cli import check_vector_lines

@@ -15,13 +15,14 @@ from beaconkx.codec import (
     int_to_magnitude,
     magnitude_to_int,
 )
-from beaconkx.dh import DhParams, derive_symmetric_key, keypair_from_private
+from beaconkx.dh import DhKeyPair, DhParams, derive_symmetric_key, keypair_from_private
 from beaconkx.protocol import (
     DhMode,
     HandshakeState,
     NeighborEntry,
     NodeConfig,
     NodeState,
+    SecretMemo,
     distance,
     make_node,
 )
@@ -283,6 +284,90 @@ class TestPerNodeParams:
         assert magnitude_to_int(reply.public_value) == pow(5, responder_private, 23)
         assert node.neighbors[7].key == derive_symmetric_key(
             pow(19, responder_private, 23))
+
+
+def fleet_node(node_id: int, params: DhParams, private: int, memo: SecretMemo,
+               mode=DhMode.GLOBAL_PARAMS, keypair: DhKeyPair | None = None) -> NodeState:
+    """Node with a forced exponent sharing ``memo``.
+
+    Its key pair is registered unless a ``keypair`` is forced as well.
+    """
+    node = NodeState(node_id=node_id, own_position=Position(float(node_id), 0.0),
+                     config=NodeConfig(), dh_mode=mode, dh_params=params,
+                     keypair=keypair or keypair_from_private(params, private),
+                     rng=random.Random(node_id), memo=memo)
+    if keypair is None:
+        memo.register(params, node.keypair)
+    return node
+
+
+class TestFleetMemo:
+    @pytest.fixture
+    def secret_calls(self, monkeypatch):
+        import beaconkx.protocol as protocol
+
+        calls = []
+        original = protocol.compute_shared_secret
+
+        def recorded(params, own_private, peer_public):
+            calls.append((params.p, own_private, peer_public))
+            return original(params, own_private, peer_public)
+
+        monkeypatch.setattr(protocol, "compute_shared_secret", recorded)
+        return calls
+
+    def test_mirror_serves_the_other_end(self, secret_calls):
+        memo = SecretMemo()
+        a = fleet_node(1, TEXTBOOK_PARAMS, 6, memo)
+        b = fleet_node(2, TEXTBOOK_PARAMS, 15, memo)
+        ack = b.on_receive_beacon(a.on_timer_beacon(0.0), 0.1)
+        a.on_receive_ack(ack, 0.2)
+        assert secret_calls == [(23, 15, 8)]
+        assert a.neighbors[2].key == b.neighbors[1].key == derive_symmetric_key(
+            pow(8, 15, 23))
+
+    @pytest.mark.parametrize("params, a_private, b_private", [
+        (DhParams(23, 22), 5, 4),   # w of order 2: every public value is 22 or 1
+        (DhParams(23, 2), 11, 3),   # 2^11 = 1, while node 2's 8 is in range
+    ])
+    def test_out_of_range_public_value_is_checked_on_every_arrival(
+            self, secret_calls, params, a_private, b_private):
+        memo = SecretMemo()
+        a = fleet_node(1, params, a_private, memo)
+        b = fleet_node(2, params, b_private, memo)
+        a_public = a.keypair.public_value
+        assert not 2 <= a_public <= params.p - 2
+        for t in (0.0, 1.0, 2.0):
+            ack = a.on_receive_beacon(b.on_timer_beacon(t), t + 0.1)
+            b.on_receive_ack(ack, t + 0.2)
+            assert b.neighbors[1].key is None
+            assert b.neighbors[1].state is HandshakeState.NONE
+        assert secret_calls.count((23, b_private, a_public)) == 3
+
+    def test_foreign_group_beacon_in_global_mode_is_not_mirrored(self, secret_calls):
+        # Same p, another w: node 1's 8 = 5^6 is not 7^6, so a mirror
+        # keyed by p alone would hand node 2 the wrong key.
+        memo = SecretMemo()
+        a = fleet_node(1, TEXTBOOK_PARAMS, 6, memo)
+        b = fleet_node(2, DhParams(23, 7), 2, memo, mode=DhMode.PER_NODE_PARAMS)
+        beacon = b.on_timer_beacon(0.0)
+        assert beacon.version == 2
+        ack = a.on_receive_beacon(beacon, 0.1)
+        assert a.neighbors[2].key == derive_symmetric_key(pow(3, 6, 23))
+        b.on_receive_ack(ack, 0.2)
+        assert secret_calls == [(23, 6, 3), (23, 2, 8)]
+        assert b.neighbors[1].key == derive_symmetric_key(pow(8, 2, 23))
+
+    def test_unregistered_own_pair_is_not_mirrored(self, secret_calls):
+        # 9 is not 5^6: a mirror written for node 1's pair would be wrong.
+        memo = SecretMemo()
+        a = fleet_node(1, TEXTBOOK_PARAMS, 6, memo, keypair=DhKeyPair(6, 9))
+        b = fleet_node(2, TEXTBOOK_PARAMS, 15, memo)
+        ack = a.on_receive_beacon(b.on_timer_beacon(0.0), 0.1)
+        b.on_receive_ack(ack, 0.2)
+        assert secret_calls == [(23, 6, 19), (23, 15, 9)]
+        assert b.neighbors[1].key == derive_symmetric_key(pow(9, 15, 23))
+
 
 class TestExpiry:
     def test_silent_entry_removed(self):

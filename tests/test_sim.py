@@ -93,6 +93,18 @@ class TestNumericValidation:
             CryptoCosts(**{field: value})
 
 
+class TestDurationCap:
+    def test_one_timer_per_vehicle_per_shortest_period(self):
+        # 1000 static vehicles beaconing every second reach 10^7 at 10^4 s.
+        SimConfig(n_vehicles=1000, duration=1e4).validate()
+        for overrides in ({"duration": 1.001e4},
+                          {"duration": 1001.0, "speed_range": (0.0, 1.0)},
+                          {"duration": 5001.0, "node_config": NodeConfig(
+                              adaptive=True, interval_min=0.5)}):
+            with pytest.raises(ConfigError, match="sim.duration"):
+                SimConfig(n_vehicles=1000, **overrides).validate()
+
+
 class TestDeliverInRange:
     POSITIONS = {1: Position(0.0, 0.0), 2: Position(100.0, 0.0),
                  3: Position(300.0, 0.0)}
@@ -504,6 +516,32 @@ class TestExpiryOncePerTimer:
             assert set(state.neighbors) == tables[node_id], node_id
 
 
+def record_secret_calls(monkeypatch) -> list[tuple[DhParams, int, int]]:
+    """Patch the exponentiation ``protocol`` calls to record its inputs."""
+    import beaconkx.protocol as protocol
+
+    calls = []
+    original = protocol.compute_shared_secret
+
+    def recorded(params, own_private, peer_public):
+        calls.append((params, own_private, peer_public))
+        return original(params, own_private, peer_public)
+
+    monkeypatch.setattr(protocol, "compute_shared_secret", recorded)
+    return calls
+
+
+def exchange_of(call) -> tuple[int, int, frozenset[int]]:
+    """The unordered exchange a call belongs to: group and both public values.
+
+    ``Y^x`` depends only on ``X = w^x`` and ``Y``, so the two ends of one
+    exchange map to the same value.
+    """
+    params, own_private, peer_public = call
+    own_public = pow(params.w, own_private, params.p)
+    return params.p, params.w, frozenset((own_public, peer_public))
+
+
 class TestSecretMemo:
     # Lossy and mobile, one group per node: an entry's key keeps flipping
     # between the exchange in the node's group and the one in the peer's.
@@ -511,24 +549,48 @@ class TestSecretMemo:
                          speed_range=(5.0, 15.0), mobility=Mobility.RANDOM_WAYPOINT,
                          duration=8.0, loss_rate=0.25, seed=1,
                          dh_mode=DhMode.PER_NODE_PARAMS, **FAST_DH)
+    # Lossless, static, every node in range of every other, one group.
+    ALL_IN_RANGE = replace(line_config(10.0, 24), duration=4.0)
 
     def test_no_exponentiation_is_repeated(self, monkeypatch):
-        import beaconkx.protocol as protocol
-
         unpatched, _ = run(self.FLIPPING)
-        calls = []
-        original = protocol.compute_shared_secret
-
-        def recorded(params, own_private, peer_public):
-            calls.append((params.p, own_private, peer_public))
-            return original(params, own_private, peer_public)
-
-        monkeypatch.setattr(protocol, "compute_shared_secret", recorded)
+        calls = record_secret_calls(monkeypatch)
         trace, _ = run(self.FLIPPING)
         assert calls
-        assert len(set(calls)) == len(calls)
+        # One call per exchange, not one per end.
+        assert len({exchange_of(call) for call in calls}) == len(calls)
         assert sum(r.ev == EV_KEY_ESTABLISHED for r in trace) > len(calls)
         assert trace.to_jsonl() == unpatched.to_jsonl()
+
+    def test_one_exponentiation_per_pair_in_a_shared_group(self, monkeypatch):
+        unpatched, _ = run(self.ALL_IN_RANGE)
+        calls = record_secret_calls(monkeypatch)
+        trace, _ = run(self.ALL_IN_RANGE)
+        n = self.ALL_IN_RANGE.n_vehicles
+        assert len(calls) == n * (n - 1) // 2
+        assert len({exchange_of(call) for call in calls}) == len(calls)
+        keyed = {(r.node, r.peer) for r in trace if r.ev == EV_KEY_ESTABLISHED}
+        assert len(keyed) == n * (n - 1)
+        assert trace.to_jsonl() == unpatched.to_jsonl()
+
+
+class TestDecodeOnce:
+    def test_each_transmission_is_decoded_at_most_once(self, monkeypatch):
+        import beaconkx.sim as sim
+
+        decoded = []
+        original = sim.decode_packet
+
+        def recorded(raw):
+            decoded.append(raw)
+            return original(raw)
+
+        monkeypatch.setattr(sim, "decode_packet", recorded)
+        trace, _ = run(TestSecretMemo.ALL_IN_RANGE)
+        sent = sum(r.ev in (EV_BEACON_TX, EV_ACK_TX) for r in trace)
+        received = sum(r.ev in (EV_BEACON_RX, EV_ACK_RX) for r in trace)
+        assert received > sent
+        assert 0 < len(decoded) <= sent
 
 
 class TestMobilityExpiry:
