@@ -152,6 +152,11 @@ class NodeConfig:
     interval_max: float = 10.0
 
     def __post_init__(self) -> None:
+        for name in ("beacon_interval", "expiry_multiplier", "adapt_gain",
+                     "interval_min", "interval_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"node.{name} must be finite, got {value!r}")
         if self.beacon_interval <= 0:
             raise ValueError("beacon_interval must be positive")
         if self.expiry_multiplier <= 1:

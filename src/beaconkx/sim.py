@@ -17,9 +17,10 @@ per candidate at the send instant, which is not monotone in event order:
 with crypto costs on, an ACK leaves at the end of the responder's secret
 computation, after the delivery that prompted it. A node that halts
 inside that window records no key and sends no ACK. A transmission is
-decoded once, at its first delivered recipient, and every delivery
-carries the decoded packet next to the bytes; trace lengths come from
-the bytes.
+encoded once, by its sender; every delivery carries the sender's packet
+and the encoded length, so the engine decodes nothing. The packet equals
+the decoding of its bytes: the protocol rounds positions to singles, as
+the wire does.
 
 The nodes share one ``protocol.SecretMemo``, so the two ends of a key
 exchange pay for one exponentiation between them.
@@ -45,9 +46,10 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
+from operator import attrgetter
 from typing import Mapping
 
-from .codec import BeaconPacket, PacketType, Position, decode_packet, encode_packet
+from .codec import BeaconPacket, PacketType, Position, encode_packet
 from .dh import MIN_MODULUS_BITS, generate_dh_params
 from .grid import CellGrid, pairs_in_range
 from .metrics import Metrics, compute_metrics
@@ -179,9 +181,17 @@ class SimConfig:
         _check_number("sim.speed_max", self.speed_range[1])
         if self.speed_range[0] > self.speed_range[1]:
             raise ConfigError("sim.speed_min must not exceed sim.speed_max")
+        # Reflection at the borders folds a step back into the area only
+        # when the step starts inside it and is no longer than its side.
+        moving = self.speed_range[1] > 0
+        if self.speed_range[1] * MOBILITY_TICK_INTERVAL > min(self.area):
+            raise ConfigError(
+                f"sim.speed_max {self.speed_range[1]:g} m/s crosses the "
+                f"{self.area[0]:g} x {self.area[1]:g} m area in one "
+                f"{MOBILITY_TICK_INTERVAL:g}-s mobility tick")
         node = self.node_config
         period = node.interval_min if node.adaptive else node.beacon_interval
-        if self.speed_range[1] > 0:
+        if moving:
             period = min(period, MOBILITY_TICK_INTERVAL)
         if self.n_vehicles * self.duration / period > MAX_TIMER_EVENTS:
             raise ConfigError(
@@ -195,6 +205,11 @@ class SimConfig:
                     f"{self.n_vehicles} vehicles")
             if not all(map(math.isfinite, (c for xy in self.placements for c in xy))):
                 raise ConfigError("sim.placements must be finite")
+            width, height = self.area
+            if moving and not all(0 <= x <= width and 0 <= y <= height
+                                  for x, y in self.placements):
+                raise ConfigError("sim.placements must lie inside the area "
+                                  "when vehicles move")
         ids = range(1, self.n_vehicles + 1)
         for node_id, at in self.halts:
             if node_id not in ids:
@@ -422,9 +437,7 @@ class Simulation:
         if t > self.config.duration:
             return  # effect lands beyond the simulated horizon
         pos = self._positions[node]
-        self._trace.append(TraceRecord(
-            t=t, ev=ev, node=node, peer=peer, pos=(pos.x, pos.y),
-            extra=extra or {}))
+        self._trace.append(TraceRecord(t, ev, node, peer, (pos.x, pos.y), extra or {}))
 
     def _halted(self, node_id: int, now: float) -> bool:
         halt = self._halt_at.get(node_id)
@@ -459,45 +472,44 @@ class Simulation:
         for expired in state.expire_neighbors(now):
             self._emit(now, EV_NEIGHBOR_EXPIRED, node_id, expired)
         beacon = state.on_timer_beacon(now)
-        raw = encode_packet(beacon)
+        length = len(encode_packet(beacon))
         self._emit(now, EV_BEACON_TX, node_id, None, {
-            "len": len(raw), "timer_at": timer_at, "version": beacon.version})
-        self._send(now, node_id, beacon.ptype, None, raw)
+            "len": length, "timer_at": timer_at, "version": beacon.version})
+        self._send(now, node_id, None, beacon, length)
         self._push(state.next_beacon_at, EventKind.BEACON_TIMER, node_id,
                    state.next_beacon_at)
 
-    def _send(self, now: float, sender: int, ptype: PacketType,
-              dest: int | None, raw: bytes) -> None:
+    def _send(self, now: float, sender: int, dest: int | None,
+              pkt: BeaconPacket, length: int) -> None:
+        ptype = pkt.ptype
         outcomes = deliver_in_range(
             self._radio_view(now, sender, ptype, dest), sender, ptype, dest,
             self.config.radio_range, self.config.loss_rate, self._rng_loss)
-        payload = None
+        payload = (sender, length, pkt)
         for recipient, delivered in outcomes:
             if delivered:
-                if payload is None:
-                    payload = (sender, raw, decode_packet(raw))
                 self._push(now + self.config.prop_delay,
                            EventKind.PACKET_DELIVERY, recipient, payload)
 
     def _handle_delivery(self, node_id: int, now: float, payload: object) -> None:
         if self._halted(node_id, now):
             return
-        sender, raw, pkt = payload
+        sender, length, pkt = payload
         state = self.nodes[node_id]
         costs = self.config.crypto_costs
         prev_key = self._current_key(state, sender)
         if pkt.ptype is PacketType.BEACON:
-            self._emit(now, EV_BEACON_RX, node_id, sender, {"len": len(raw)})
+            self._emit(now, EV_BEACON_RX, node_id, sender, {"len": length})
             ack = state.on_receive_beacon(pkt, now)
             done = now + (costs.receiver_secret if costs else 0.0)
             self._emit_key_change(state, sender, prev_key, done)
             # A node that halts while computing its secret never answers.
             if ack is not None and not self._halted(node_id, done):
-                ack_raw = encode_packet(ack)
-                self._emit(done, EV_ACK_TX, node_id, sender, {"len": len(ack_raw)})
-                self._send(done, node_id, ack.ptype, sender, ack_raw)
+                ack_len = len(encode_packet(ack))
+                self._emit(done, EV_ACK_TX, node_id, sender, {"len": ack_len})
+                self._send(done, node_id, sender, ack, ack_len)
         else:
-            self._emit(now, EV_ACK_RX, node_id, sender, {"len": len(raw)})
+            self._emit(now, EV_ACK_RX, node_id, sender, {"len": length})
             state.on_receive_ack(pkt, now)
             done = now + (costs.sender_secret if costs else 0.0)
             self._emit_key_change(state, sender, prev_key, done)
@@ -559,8 +571,7 @@ class Simulation:
             elif kind == EventKind.ROUTE_PROBE:
                 self._handle_route_probe(at, payload)
         # Cost-shifted effects are emitted out of order; re-sort stably.
-        ordered = sorted(enumerate(self._trace), key=lambda p: (p[1].t, p[0]))
-        trace = Trace([record for _, record in ordered])
+        trace = Trace(sorted(self._trace, key=attrgetter("t")))
         metrics = compute_metrics(
             trace, radio_range=self.config.radio_range,
             duration=self.config.duration)

@@ -25,6 +25,8 @@ EV_NEIGHBOR_EXPIRED = "neighbor_expired"
 EV_ROUTE_HOP = "route_hop"
 EV_ROUTE_LOCAL_MAX = "route_local_max"
 
+_TRANSMISSIONS = (EV_BEACON_TX, EV_ACK_TX)
+
 
 class TraceFormatError(ValueError):
     """A trace line that is not a record; the message names the line."""
@@ -42,7 +44,7 @@ def _fmt_value(value: object) -> str:
     raise TypeError(f"unsupported extra value type: {type(value)!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     t: float
     ev: str
@@ -50,17 +52,6 @@ class TraceRecord:
     peer: int | None
     pos: tuple[float, float]
     extra: dict = field(default_factory=dict)
-
-    def to_json_line(self) -> str:
-        peer = "null" if self.peer is None else str(self.peer)
-        extra = ", ".join(
-            f"{json.dumps(k)}: {_fmt_value(v)}" for k, v in sorted(self.extra.items()))
-        return (
-            f'{{"t": {self.t:.6f}, "ev": {json.dumps(self.ev)}, '
-            f'"node": {self.node}, "peer": {peer}, '
-            f'"pos": [{self.pos[0]:.6f}, {self.pos[1]:.6f}], '
-            f'"extra": {{{extra}}}}}'
-        )
 
 
 class Trace:
@@ -79,42 +70,91 @@ class Trace:
         return len(self.records)
 
     def to_jsonl(self) -> str:
-        return "".join(r.to_json_line() + "\n" for r in self.records)
+        """One line per record, each event name and extra key quoted once."""
+        quoted: dict[str, str] = {}
+        lines = []
+        append = lines.append
+        for record in self.records:
+            ev = quoted.get(record.ev)
+            if ev is None:
+                ev = quoted[record.ev] = json.dumps(record.ev)
+            extra = record.extra
+            if extra:
+                fields = []
+                for key, value in sorted(extra.items()) if len(extra) > 1 else extra.items():
+                    name = quoted.get(key)
+                    if name is None:
+                        name = quoted[key] = json.dumps(key)
+                    kind = type(value)
+                    if kind is int:
+                        fields.append(f"{name}: {value}")
+                    elif kind is float:
+                        fields.append(f"{name}: {value:.6f}")
+                    else:
+                        fields.append(f"{name}: {_fmt_value(value)}")
+                extra_text = ", ".join(fields)
+            else:
+                extra_text = ""
+            peer = record.peer
+            pos = record.pos
+            append(f'{{"t": {record.t:.6f}, "ev": {ev}, "node": {record.node}, '
+                   f'"peer": {"null" if peer is None else peer}, '
+                   f'"pos": [{pos[0]:.6f}, {pos[1]:.6f}], "extra": {{{extra_text}}}}}\n')
+        return "".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
         """Parse ``to_jsonl`` text; blank lines are skipped.
 
-        A line that is not a record, a transmission without the integer
-        ``len`` the metrics replay sums, or a time that is NaN or earlier
-        than the line before raises ``TraceFormatError`` naming its line
-        number: the replay needs records in time order.
+        Each line must hold a record of the types ``to_jsonl`` writes:
+        ``node`` and ``peer`` JSON integers (``peer`` may be null), ``t``
+        and both ``pos`` coordinates finite numbers, ``ev`` a string and
+        ``extra`` an object; a transmission's ``extra`` holds the integer
+        ``len`` the metrics replay sums. Anything else, or a time earlier
+        than the line before, raises ``TraceFormatError`` naming its line
+        number: the replay needs well-typed records in time order.
         """
-        records = []
+        loads = json.loads
+        isfinite = math.isfinite
+        records: list[TraceRecord] = []
+        append = records.append
         last_t = -math.inf
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                record = TraceRecord(
-                    t=float(obj["t"]),
-                    ev=obj["ev"],
-                    node=int(obj["node"]),
-                    peer=None if obj["peer"] is None else int(obj["peer"]),
-                    pos=(float(obj["pos"][0]), float(obj["pos"][1])),
-                    extra=dict(obj["extra"]),
-                )
-                if record.ev in (EV_BEACON_TX, EV_ACK_TX):
-                    int(record.extra["len"])
-            except (ValueError, KeyError, TypeError, IndexError) as exc:
+                obj = loads(line)
+                t, ev, node, peer, pos, extra = (
+                    obj["t"], obj["ev"], obj["node"], obj["peer"], obj["pos"], obj["extra"])
+                if type(ev) is not str:
+                    raise ValueError(f"ev {ev!r} is not a string")
+                if type(node) is not int or (peer is not None and type(peer) is not int):
+                    raise ValueError(f"node {node!r} or peer {peer!r} is not an integer")
+                if type(pos) is not list or len(pos) != 2:
+                    raise ValueError(f"pos {pos!r} is not two coordinates")
+                x, y = pos
+                if not (type(t) is float and type(x) is float and type(y) is float):
+                    t, x, y = _number(t), _number(x), _number(y)
+                if not (isfinite(t) and isfinite(x) and isfinite(y)):
+                    raise ValueError(f"t {t!r} or pos {pos!r} is not finite")
+                if type(extra) is not dict:
+                    raise ValueError(f"extra {extra!r} is not an object")
+                if ev in _TRANSMISSIONS and type(extra["len"]) is not int:
+                    raise ValueError(f"len {extra['len']!r} is not an integer")
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise TraceFormatError(f"line {lineno}: {_reason(exc)}") from exc
-            if not record.t >= last_t:
-                raise TraceFormatError(
-                    f"line {lineno}: time {record.t} out of order after {last_t}")
-            last_t = record.t
-            records.append(record)
+            if not t >= last_t:
+                raise TraceFormatError(f"line {lineno}: time {t} out of order after {last_t}")
+            last_t = t
+            append(TraceRecord(t, ev, node, peer, (x, y), extra))
         return cls(records)
+
+
+def _number(value: object) -> float:
+    """A JSON number as a float: an integer may stand for one, a bool may not."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _reason(exc: Exception) -> str:

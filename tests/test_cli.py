@@ -76,6 +76,14 @@ class TestRunCommand:
         ("sim.halts = x:1", "sim.halts"),
         ("sim.probes = 1:1:a:b", "sim.probes"),
         ("sim.dh_bits = 8", "sim.dh_bits"),
+        ("node.adaptive = true\nnode.adapt_gain = nan", "node.adapt_gain"),
+        ("node.expiry_multiplier = nan", "node.expiry_multiplier"),
+        ("node.beacon_interval = nan", "node.beacon_interval"),
+        ("node.interval_min = nan", "node.interval_min"),
+        ("node.interval_max = inf", "node.interval_max"),
+        ("sim.speed_max = 1e308", "sim.speed_max"),
+        ("sim.speed_max = 1\nsim.area_width = 1e-300", "sim.speed_max"),
+        ("sim.speed_max = 1\nsim.placements = 1e300,0; 0,0", "sim.placements"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
@@ -166,6 +174,29 @@ class TestMetricsCommand:
         '{"t": 0.0, "ev": "beacon_rx", "node": 1, "peer": 2, '
         '"pos": [0.0, 0.0], "extra": {}}',                     # time goes back
         '{"t": NaN, "ev": "beacon_rx", "node": 1, "peer": 2, '
+        '"pos": [0.0, 0.0], "extra": {}}',
+        # well-formed JSON of the wrong types, each read leniently before
+        '{"t": 1.0, "ev": "beacon_rx", "node": 1.9, "peer": 2.5, '
+        '"pos": [0.0, 0.0], "extra": {}}',
+        '{"t": "1.5", "ev": "beacon_rx", "node": 1, "peer": 2, '
+        '"pos": [0.0, 0.0], "extra": {}}',
+        '{"t": 1.0, "ev": "beacon_rx", "node": true, "peer": 2, '
+        '"pos": [0.0, 0.0], "extra": {}}',
+        '{"t": 1.0, "ev": "beacon_rx", "node": 1, "peer": 2, '
+        '"pos": ["1e3", 0.0], "extra": {}}',
+        '{"t": 1.0, "ev": "beacon_tx", "node": 1, "peer": null, '
+        '"pos": [0.0, 0.0], "extra": {"len": 19.7}}',
+        '{"t": 1.0, "ev": "beacon_tx", "node": 1, "peer": null, '
+        '"pos": [0.0, 0.0], "extra": {"len": "19"}}',
+        '{"t": 1.0, "ev": "beacon_rx", "node": 1, "peer": 2, '
+        '"pos": [0.0, 0.0, 0.0], "extra": {}}',
+        '{"t": 1.0, "ev": "beacon_tx", "node": 1, "peer": null, '
+        '"pos": [0.0, 0.0], "extra": [["len", 19]]}',
+        '{"t": Infinity, "ev": "beacon_rx", "node": 1, "peer": 2, '
+        '"pos": [0.0, 0.0], "extra": {}}',
+        '{"t": 1.0, "ev": "beacon_rx", "node": 1, "peer": 2, '
+        '"pos": [NaN, 0.0], "extra": {}}',
+        '{"t": 1.0, "ev": 7, "node": 1, "peer": 2, '
         '"pos": [0.0, 0.0], "extra": {}}',
     ])
     def test_malformed_line_exits_2_naming_it(self, saved_run, capsys, bad_line):

@@ -58,6 +58,9 @@ class TestNodeConfig:
         {"adapt_gain": -0.1},
         {"interval_min": 2.0},                      # above the base interval
         {"beacon_interval": 20.0},                  # above interval_max
+        {"adapt_gain": math.nan},
+        {"expiry_multiplier": math.inf},
+        {"interval_max": math.inf},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beaconkx.codec import PacketType, Position
+from beaconkx.codec import PacketType, Position, decode_packet, encode_packet
 from beaconkx.dh import DhParams
 from beaconkx.grid import cell_side
 from beaconkx.protocol import DhMode, NeighborEntry, NodeConfig, NodeState, make_node
@@ -574,23 +574,33 @@ class TestSecretMemo:
         assert trace.to_jsonl() == unpatched.to_jsonl()
 
 
-class TestDecodeOnce:
-    def test_each_transmission_is_decoded_at_most_once(self, monkeypatch):
+class TestPacketHandOver:
+    def test_handlers_get_the_sent_packet_and_the_engine_never_decodes(self, monkeypatch):
+        import beaconkx.codec as codec
         import beaconkx.sim as sim
 
-        decoded = []
-        original = sim.decode_packet
+        def no_decode(raw):
+            raise AssertionError("the engine decoded a packet")
 
-        def recorded(raw):
-            decoded.append(raw)
-            return original(raw)
+        monkeypatch.setattr(codec, "decode_packet", no_decode)
+        received = []
+        for name in ("on_receive_beacon", "on_receive_ack"):
+            handler = getattr(NodeState, name)
 
-        monkeypatch.setattr(sim, "decode_packet", recorded)
+            def recorded(state, pkt, now, handler=handler):
+                received.append((state.node_id, pkt))
+                return handler(state, pkt, now)
+
+            monkeypatch.setattr(NodeState, name, recorded)
         trace, _ = run(TestSecretMemo.ALL_IN_RANGE)
-        sent = sum(r.ev in (EV_BEACON_TX, EV_ACK_TX) for r in trace)
-        received = sum(r.ev in (EV_BEACON_RX, EV_ACK_RX) for r in trace)
-        assert received > sent
-        assert 0 < len(decoded) <= sent
+        assert "decode_packet" not in vars(sim)
+        rx = [r for r in trace if r.ev in (EV_BEACON_RX, EV_ACK_RX)]
+        assert len(rx) == len(received) > sum(r.ev in (EV_BEACON_TX, EV_ACK_TX) for r in trace)
+        for record, (node_id, pkt) in zip(rx, received):
+            raw = encode_packet(pkt)
+            assert decode_packet(raw) == pkt
+            assert (record.node, record.peer) == (node_id, pkt.identifiant)
+            assert record.extra["len"] == len(raw)
 
 
 class TestMobilityExpiry:
