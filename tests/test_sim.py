@@ -648,6 +648,15 @@ class TestRouteProbe:
         assert result.outcome is RouteOutcome.REACHED
         assert result.hops == (1, 2)
 
+    def test_probe_at_the_horizon_runs_and_is_traced(self):
+        placements = ((0.0, 0.0), (200.0, 0.0))
+        probe = RouteProbe(at=5.0, src=1, dest=Position(200.0, 0.0))
+        sim, trace = self.run_static(placements, (probe,))
+        (result,) = sim.probe_results
+        assert result.hops == (1, 2)
+        assert [(r.t, r.ev, r.node, r.peer) for r in trace
+                if r.ev.startswith("route_")] == [(5.0, "route_hop", 1, 2)]
+
     def test_void_yields_local_max(self):
         # Node 4 is closest to the destination but unreachable greedily:
         # node 1's only neighbor (2) is farther from the destination.

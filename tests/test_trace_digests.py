@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of the trace and metrics of four fixed runs.
+"""Pinned SHA-256 digests of the trace and metrics of five fixed runs.
 
 These are the refactor oracle: a change to the engine that is meant to
 leave behaviour alone must leave every digest below unchanged. A change
@@ -9,9 +9,10 @@ import hashlib
 
 import pytest
 
+from beaconkx.codec import Position
 from beaconkx.config import parse_config_text
 from beaconkx.protocol import DhMode, NodeConfig
-from beaconkx.sim import CryptoCosts, Mobility, SimConfig, run
+from beaconkx.sim import CryptoCosts, Mobility, RouteProbe, SimConfig, run
 
 CRITERION_9_TEXT = """
 sim.n_vehicles = 12
@@ -45,6 +46,16 @@ CONFIGS = {
         n_vehicles=60, area=(2000.0, 2000.0), radio_range=250.0,
         speed_range=(5.0, 15.0), mobility=Mobility.CONSTANT_VELOCITY,
         duration=6.0, loss_rate=0.1, seed=11, dh_bits=64),
+    # adaptive beaconing, which reads the neighbour table's size, with
+    # moving vehicles, loss, one halt and one probe
+    "adaptive_halt_probe": SimConfig(
+        n_vehicles=16, area=(500.0, 500.0), radio_range=250.0,
+        speed_range=(5.0, 15.0), mobility=Mobility.CONSTANT_VELOCITY,
+        duration=8.0, loss_rate=0.15, seed=13, dh_bits=64,
+        node_config=NodeConfig(adaptive=True, target_degree=4, adapt_gain=0.5,
+                               interval_min=0.4, interval_max=2.5),
+        halts=((5, 3.5),),
+        probes=(RouteProbe(at=6.0, src=1, dest=Position(480.0, 480.0)),)),
 }
 
 DIGESTS = {
@@ -56,6 +67,8 @@ DIGESTS = {
         "aba185ccfc9fee91c7c507f8392259521eb4537218127d80bf7fb7d6bfac76e6",
     "sparse_fleet":
         "f1dccce61b1775130d679103704be5fd49f6f1e58a4e630ae0fb174b93cdabab",
+    "adaptive_halt_probe":
+        "eb4c7daeb37941a170e9ec7960fd446fb7137f6bccdfe3b821e983ba31568ce5",
 }
 
 
