@@ -32,7 +32,6 @@ from .dh import (
 from .metrics import Metrics, compute_metrics
 from .protocol import (
     DhMode,
-    HandshakeState,
     NeighborEntry,
     NodeConfig,
     NodeState,
@@ -62,8 +61,7 @@ __all__ = [
     "compute_shared_secret", "derive_symmetric_key", "generate_dh_params",
     "generate_keypair", "is_probable_prime", "mod_exp",
     "Metrics", "compute_metrics",
-    "DhMode", "HandshakeState", "NeighborEntry", "NodeConfig", "NodeState",
-    "make_node",
+    "DhMode", "NeighborEntry", "NodeConfig", "NodeState", "make_node",
     "ConfigError", "CryptoCosts", "Mobility", "RouteOutcome", "RouteProbe",
     "RouteResult", "SimConfig", "Simulation", "deliver_in_range",
     "ground_truth_neighbors", "mobility_update", "route_probe", "run",

@@ -34,7 +34,7 @@ from .dh import (
     generate_keypair,
 )
 from .metrics import compute_metrics
-from .sim import ConfigError, SimConfig, run
+from .sim import ConfigError, CryptoCosts, SimConfig, run
 from .trace import Trace, TraceFormatError
 
 EXIT_OK = 0
@@ -43,10 +43,12 @@ EXIT_USAGE = 2
 
 # Reference medians (nanoseconds) for the default 512-bit size, measured
 # on a 2.13 GHz Pentium-class host; printed for scale, never asserted.
+# They are the default simulated crypto costs.
+_COSTS = CryptoCosts()
 REFERENCE_NS = {
-    "param_gen": 3509800629,
-    "initiator_secret": 49069788,
-    "responder_secret": 36127233,
+    "param_gen": round(_COSTS.param_gen * 1e9),
+    "initiator_secret": round(_COSTS.sender_secret * 1e9),
+    "responder_secret": round(_COSTS.receiver_secret * 1e9),
 }
 
 # Canonical packets for cross-implementation checks: a known-answer set

@@ -19,11 +19,6 @@ from .codec import Position
 from .protocol import DhMode, NodeConfig
 from .sim import ConfigError, CryptoCosts, Mobility, RouteProbe, SimConfig
 
-
-class ConfigFileError(ConfigError):
-    """Config text rejected; the message names the offending key/line."""
-
-
 _BOOL_WORDS = {
     "true": True, "on": True, "yes": True, "1": True,
     "false": False, "off": False, "no": False, "0": False,
@@ -31,17 +26,22 @@ _BOOL_WORDS = {
 
 _SIM_SCALARS = {
     "sim.n_vehicles": int,
-    "sim.area_width": float,
-    "sim.area_height": float,
     "sim.radio_range": float,
-    "sim.speed_min": float,
-    "sim.speed_max": float,
     "sim.duration": float,
     "sim.loss_rate": float,
     "sim.prop_delay": float,
     "sim.seed": int,
     "sim.dh_bits": int,
 }
+
+# Tuple fields given as two float keys; a key left out keeps the field's
+# default for its half.
+_SIM_PAIRS = {
+    "area": ("sim.area_width", "sim.area_height"),
+    "speed_range": ("sim.speed_min", "sim.speed_max"),
+}
+
+_SIM_WORDS = {"sim.mobility": Mobility, "sim.dh_mode": DhMode}
 
 _COST_KEYS = {
     "sim.cost_param_gen": "param_gen",
@@ -59,13 +59,10 @@ _NODE_FIELDS = {
     "node.interval_max": float,
 }
 
-_MOBILITY_WORDS = {m.value: m for m in Mobility}
-_DH_MODE_WORDS = {m.value: m for m in DhMode}
-
 KNOWN_KEYS = (
-    set(_SIM_SCALARS) | set(_COST_KEYS) | set(_NODE_FIELDS)
-    | {"sim.mobility", "sim.dh_mode", "sim.crypto_costs",
-       "sim.placements", "sim.halts", "sim.probes"}
+    set(_SIM_SCALARS) | {key for keys in _SIM_PAIRS.values() for key in keys}
+    | set(_SIM_WORDS) | set(_COST_KEYS) | set(_NODE_FIELDS)
+    | {"sim.crypto_costs", "sim.placements", "sim.halts", "sim.probes"}
 )
 
 
@@ -73,7 +70,7 @@ def _parse_bool(key: str, raw: str) -> bool:
     try:
         return _BOOL_WORDS[raw.lower()]
     except KeyError:
-        raise ConfigFileError(f"key '{key}': expected a boolean, got '{raw}'") from None
+        raise ConfigError(f"key '{key}': expected a boolean, got '{raw}'") from None
 
 
 def _parse_scalar(key: str, raw: str, kind) -> object:
@@ -82,7 +79,7 @@ def _parse_scalar(key: str, raw: str, kind) -> object:
     try:
         return kind(raw)
     except ValueError:
-        raise ConfigFileError(
+        raise ConfigError(
             f"key '{key}': expected {kind.__name__}, got '{raw}'") from None
 
 
@@ -96,7 +93,7 @@ def _parse_placements(raw: str) -> tuple[tuple[float, float], ...]:
     for item in _split_items(raw):
         parts = item.split(",")
         if len(parts) != 2:
-            raise ConfigFileError(
+            raise ConfigError(
                 f"key '{key}': expected 'x,y' items, got '{item}'")
         placements.append(tuple(_parse_scalar(key, part, float) for part in parts))
     return tuple(placements)
@@ -108,7 +105,7 @@ def _parse_halts(raw: str) -> tuple[tuple[int, float], ...]:
     for item in _split_items(raw):
         parts = item.split(":")
         if len(parts) != 2:
-            raise ConfigFileError(
+            raise ConfigError(
                 f"key '{key}': expected 'node:t' items, got '{item}'")
         halts.append((_parse_scalar(key, parts[0], int),
                       _parse_scalar(key, parts[1], float)))
@@ -121,7 +118,7 @@ def _parse_probes(raw: str) -> tuple[RouteProbe, ...]:
     for item in _split_items(raw):
         parts = item.split(":")
         if len(parts) != 4:
-            raise ConfigFileError(
+            raise ConfigError(
                 f"key '{key}': expected 'at:src:x:y' items, got '{item}'")
         probes.append(RouteProbe(
             at=_parse_scalar(key, parts[0], float),
@@ -139,47 +136,33 @@ def parse_config_text(text: str) -> SimConfig:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigFileError(f"line {lineno}: expected 'key = value'")
+            raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
         if key not in KNOWN_KEYS:
-            raise ConfigFileError(f"line {lineno}: unknown key '{key}'")
+            raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
-            raise ConfigFileError(f"line {lineno}: duplicate key '{key}'")
+            raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         values[key] = raw
 
     sim_kwargs: dict = {}
     for key, kind in _SIM_SCALARS.items():
         if key in values:
-            field = key.split(".", 1)[1]
-            if field in ("area_width", "area_height", "speed_min", "speed_max"):
-                continue  # folded into tuples below
-            sim_kwargs[field] = _parse_scalar(key, values[key], kind)
-
-    if "sim.area_width" in values or "sim.area_height" in values:
-        width = _parse_scalar("sim.area_width", values.get("sim.area_width", "1000"), float)
-        height = _parse_scalar("sim.area_height", values.get("sim.area_height", "1000"), float)
-        sim_kwargs["area"] = (width, height)
-    if "sim.speed_min" in values or "sim.speed_max" in values:
-        lo = _parse_scalar("sim.speed_min", values.get("sim.speed_min", "0"), float)
-        hi = _parse_scalar("sim.speed_max", values.get("sim.speed_max", "0"), float)
-        sim_kwargs["speed_range"] = (lo, hi)
-
-    if "sim.mobility" in values:
-        word = values["sim.mobility"].lower()
-        if word not in _MOBILITY_WORDS:
-            raise ConfigFileError(
-                f"key 'sim.mobility': expected one of {sorted(_MOBILITY_WORDS)}, "
-                f"got '{word}'")
-        sim_kwargs["mobility"] = _MOBILITY_WORDS[word]
-    if "sim.dh_mode" in values:
-        word = values["sim.dh_mode"].lower()
-        if word not in _DH_MODE_WORDS:
-            raise ConfigFileError(
-                f"key 'sim.dh_mode': expected one of {sorted(_DH_MODE_WORDS)}, "
-                f"got '{word}'")
-        sim_kwargs["dh_mode"] = _DH_MODE_WORDS[word]
+            sim_kwargs[key.split(".", 1)[1]] = _parse_scalar(key, values[key], kind)
+    for field, keys in _SIM_PAIRS.items():
+        if any(key in values for key in keys):
+            sim_kwargs[field] = tuple(
+                _parse_scalar(key, values[key], float) if key in values else default
+                for key, default in zip(keys, getattr(SimConfig, field)))
+    for key, enum in _SIM_WORDS.items():
+        if key in values:
+            words = {member.value: member for member in enum}
+            word = values[key].lower()
+            if word not in words:
+                raise ConfigError(
+                    f"key '{key}': expected one of {sorted(words)}, got '{word}'")
+            sim_kwargs[key.split(".", 1)[1]] = words[word]
 
     costs_on = ("sim.crypto_costs" in values
                 and _parse_bool("sim.crypto_costs", values["sim.crypto_costs"]))
@@ -188,7 +171,7 @@ def parse_config_text(text: str) -> SimConfig:
         for key, field in _COST_KEYS.items() if key in values
     }
     if cost_overrides and not costs_on:
-        raise ConfigFileError(
+        raise ConfigError(
             "cost overrides given but 'sim.crypto_costs' is not enabled")
     if costs_on:
         sim_kwargs["crypto_costs"] = CryptoCosts(**cost_overrides)
@@ -207,10 +190,10 @@ def parse_config_text(text: str) -> SimConfig:
     try:
         sim_kwargs["node_config"] = NodeConfig(**node_kwargs)
     except ValueError as exc:
-        raise ConfigFileError(f"node configuration invalid: {exc}") from exc
+        raise ConfigError(f"node configuration invalid: {exc}") from exc
 
     if "n_vehicles" not in sim_kwargs:
-        raise ConfigFileError("required key 'sim.n_vehicles' is missing")
+        raise ConfigError("required key 'sim.n_vehicles' is missing")
     config = SimConfig(**sim_kwargs)
     config.validate()
     return config

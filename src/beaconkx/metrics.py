@@ -29,6 +29,9 @@ from .trace import (
     Trace,
 )
 
+# Seconds of simulated time between neighbor-table samples.
+SAMPLE_PERIOD = 1.0
+
 
 @dataclass(frozen=True)
 class SamplePoint:
@@ -78,8 +81,7 @@ def _percentile_95(values: list[float]) -> float:
     return ordered[index]
 
 
-def compute_metrics(trace: Trace, radio_range: float, duration: float,
-                    sample_period: float = 1.0) -> Metrics:
+def compute_metrics(trace: Trace, radio_range: float, duration: float) -> Metrics:
     """Replay ``trace`` and fold it into counters and samples."""
     beacons_sent = 0
     acks_sent = 0
@@ -91,14 +93,14 @@ def compute_metrics(trace: Trace, radio_range: float, duration: float,
     first_established: dict[tuple[int, int], float] = {}
 
     samples: list[SamplePoint] = []
-    next_sample = sample_period
+    next_sample = SAMPLE_PERIOD
 
     def take_sample() -> None:
         nonlocal next_sample
         precision, recall = _table_accuracy(tables, last_pos, radio_range)
         samples.append(SamplePoint(t=next_sample, precision=precision,
                                    recall=recall))
-        next_sample += sample_period
+        next_sample += SAMPLE_PERIOD
 
     for rec in trace:
         # A sample at s reflects every record with t <= s; emit it once

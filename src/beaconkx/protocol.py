@@ -11,7 +11,9 @@ those two messages.
 Entries that stay silent past ``expiry_multiplier`` effective beacon
 intervals are dropped. Forwarding decisions use the greedy geographic
 rule over the live table: pick the neighbor strictly closest to the
-destination, or give up at a local maximum.
+destination, or give up at a local maximum. An entry's handshake is
+complete exactly when it holds a key; a rejected public value leaves it
+with none.
 
 Two key-agreement deployments are supported:
 
@@ -63,12 +65,6 @@ from .dh import (
 )
 
 
-class HandshakeState(Enum):
-    NONE = "none"            # no usable exchange yet
-    PENDING = "pending"      # our beacon is out, awaiting the peer's ack
-    ESTABLISHED = "established"  # shared key derived
-
-
 class DhMode(Enum):
     GLOBAL_PARAMS = "global"
     PER_NODE_PARAMS = "per_node"
@@ -83,7 +79,6 @@ class NeighborEntry:
     node_id: int
     position: Position
     last_seen: float
-    state: HandshakeState = HandshakeState.NONE
     key: bytes | None = None
 
 
@@ -158,16 +153,22 @@ class NodeConfig:
             if not math.isfinite(value):
                 raise ValueError(f"node.{name} must be finite, got {value!r}")
         if self.beacon_interval <= 0:
-            raise ValueError("beacon_interval must be positive")
+            raise ValueError(
+                f"node.beacon_interval must be positive, got {self.beacon_interval!r}")
         if self.expiry_multiplier <= 1:
-            raise ValueError("expiry_multiplier must be > 1")
+            raise ValueError(
+                f"node.expiry_multiplier must be > 1, got {self.expiry_multiplier!r}")
         if self.target_degree < 1:
-            raise ValueError("target_degree must be >= 1")
+            raise ValueError(
+                f"node.target_degree must be >= 1, got {self.target_degree!r}")
         if self.adapt_gain < 0:
-            raise ValueError("adapt_gain must be non-negative")
+            raise ValueError(
+                f"node.adapt_gain must be non-negative, got {self.adapt_gain!r}")
         if not 0 < self.interval_min <= self.beacon_interval <= self.interval_max:
             raise ValueError(
-                "need 0 < interval_min <= beacon_interval <= interval_max")
+                "need 0 < node.interval_min <= node.beacon_interval <= "
+                f"node.interval_max, got {self.interval_min!r}, "
+                f"{self.beacon_interval!r}, {self.interval_max!r}")
 
 
 @dataclass
@@ -227,15 +228,10 @@ class NodeState:
 
         The caller expires stale neighbors first (``expire_neighbors``),
         once per timer, so that every drop can be recorded. Advances
-        ``next_beacon_at`` by the effective interval and marks untouched
-        entries PENDING, since our public value is now out and an ack
-        may come back for them.
+        ``next_beacon_at`` by the effective interval.
         """
         beacon = self.build_beacon()
         self.next_beacon_at = now + self.effective_beacon_interval()
-        for entry in self.neighbors.values():
-            if entry.state is HandshakeState.NONE:
-                entry.state = HandshakeState.PENDING
         return beacon
 
     # ------------------------------------------------------------------
@@ -247,10 +243,10 @@ class NodeState:
         The returned ACK is addressed to the beacon's sender (unicast;
         addressing is a delivery-layer concern, the wire only names the
         ACK's own sender). A beacon whose public value is unusable still
-        refreshes position and freshness, but the entry drops to NONE
-        with no key; the ACK is suppressed only when the sender's group
-        parameters themselves are unusable, because then there is no
-        group to answer in.
+        refreshes position and freshness, but the entry loses its key;
+        the ACK is suppressed only when the sender's group parameters
+        themselves are unusable, because then there is no group to
+        answer in.
         """
         if pkt.identifiant == self.node_id:
             return None
@@ -259,14 +255,14 @@ class NodeState:
         entry = self._refresh_entry(pkt.identifiant, pkt.src_pos, now)
 
         if params is None:
-            self._mark_failed(entry)
+            entry.key = None
             return None
 
         if self.dh_mode is DhMode.PER_NODE_PARAMS and pkt.version == VERSION_PARAM_TRIPLE:
             responder = self._responder_keypair(pkt.identifiant, params)
         else:
             responder = self.keypair
-        self._try_establish(entry, params, responder, peer_public)
+        entry.key = self.memo.key(params, responder, peer_public)
 
         return BeaconPacket(
             identifiant=self.node_id,
@@ -289,10 +285,10 @@ class NodeState:
         try:
             peer_public = magnitude_to_int(pkt.public_value)
         except ValueError:
-            self._mark_failed(entry)
+            entry.key = None
             return
         # The ack answers in our own group.
-        self._try_establish(entry, self.dh_params, self.keypair, peer_public)
+        entry.key = self.memo.key(self.dh_params, self.keypair, peer_public)
 
     # ------------------------------------------------------------------
     # table maintenance and forwarding
@@ -313,13 +309,13 @@ class NodeState:
 
         Returns None at a local maximum (no neighbor makes progress).
         Ties break toward the smallest node id. With ``keyed_only`` the
-        candidate set shrinks to neighbors holding an established key.
+        candidate set shrinks to neighbors holding a key.
         """
         best_id: int | None = None
         best_dist = distance(self.own_position, dest)
         for node_id in sorted(self.neighbors):
             entry = self.neighbors[node_id]
-            if keyed_only and entry.state is not HandshakeState.ESTABLISHED:
+            if keyed_only and entry.key is None:
                 continue
             d = distance(entry.position, dest)
             if d < best_dist:
@@ -367,20 +363,6 @@ class NodeState:
         self.memo.register(params, keypair)
         self._responder_keys[peer_id] = (params, keypair)
         return keypair
-
-    def _try_establish(self, entry: NeighborEntry, params: DhParams,
-                       own: DhKeyPair, peer_public: int) -> None:
-        key = self.memo.key(params, own, peer_public)
-        if key is None:
-            self._mark_failed(entry)
-            return
-        entry.key = key
-        entry.state = HandshakeState.ESTABLISHED
-
-    @staticmethod
-    def _mark_failed(entry: NeighborEntry) -> None:
-        entry.state = HandshakeState.NONE
-        entry.key = None
 
 
 def make_node(node_id: int, position: Position, config: NodeConfig,

@@ -8,27 +8,28 @@ loss probability. Propagation adds a fixed delay so that send and
 receive instants are distinct and ordering is well defined.
 
 The radio's view of the fleet is kept up to date rather than rebuilt per
-send: ``Simulation`` holds every vehicle's current position and buckets
-the vehicles into a cell grid one radio range wide (``grid.CellGrid``),
-both written at set-up and on each mobility tick only. A beacon's
-candidate receivers are the live nodes in the 3 x 3 block of cells
-around its sender; an ACK's is its live addressee. Liveness is checked
-per candidate at the send instant, which is not monotone in event order:
-with crypto costs on, an ACK leaves at the end of the responder's secret
-computation, after the delivery that prompted it. A node that halts
-inside that window records no key and sends no ACK. A transmission is
-encoded once, by its sender; every delivery carries the sender's packet
-and the encoded length, so the engine decodes nothing. The packet equals
-the decoding of its bytes: the protocol rounds positions to singles, as
-the wire does.
+send: each node's ``own_position`` is its vehicle's current position, and
+``Simulation`` buckets the vehicles into a cell grid one radio range wide
+(``grid.CellGrid``), both written at set-up and on each mobility tick
+only. A beacon's candidate receivers are the live nodes in the 3 x 3
+block of cells around its sender; an ACK's is its live addressee.
+Liveness is checked per candidate at the send instant, which is not
+monotone in event order: with crypto costs on, an ACK leaves at the end
+of the responder's secret computation, after the delivery that prompted
+it. A node that halts inside that window records no key and sends no
+ACK. A transmission is encoded once, by its sender; every delivery
+carries the sender's packet and the encoded length, so the engine
+decodes nothing. The packet equals the decoding of its bytes: the
+protocol rounds positions to singles, as the wire does.
 
 The nodes share one ``protocol.SecretMemo``, so the two ends of a key
 exchange pay for one exponentiation between them.
 
 Everything is driven by one event heap ordered by
-``(time, kind, node, insertion sequence)``, and every random draw comes
-from named ``random.Random`` streams derived from the config seed, so a
-config maps to exactly one trace, byte for byte.
+``(time, kind, node, insertion sequence)``; the loop runs every event up
+to and including ``duration`` and leaves later ones unrun. Every random
+draw comes from named ``random.Random`` streams derived from the config
+seed, so a config maps to exactly one trace, byte for byte.
 
 Optional simulated crypto costs decouple handshake timing from host
 speed: when enabled, a node's first beacon is deferred by the parameter
@@ -95,7 +96,6 @@ class EventKind(IntEnum):
     PACKET_DELIVERY = 1
     MOBILITY_TICK = 2
     ROUTE_PROBE = 3
-    END = 4
 
 
 @dataclass(frozen=True)
@@ -216,6 +216,8 @@ class SimConfig:
                 raise ConfigError(f"sim.halts names unknown node {node_id}")
             if not 0 <= at <= self.duration:
                 raise ConfigError(f"sim.halts time {at} outside the run")
+        if len({node_id for node_id, _at in self.halts}) != len(self.halts):
+            raise ConfigError("sim.halts names a node more than once")
         for probe in self.probes:
             if probe.src not in ids:
                 raise ConfigError(f"sim.probes names unknown node {probe.src}")
@@ -360,9 +362,8 @@ class Simulation:
         self.config = config
         self.nodes: dict[int, NodeState] = {}
         self.vehicles: dict[int, Vehicle] = {}
-        # Current position of every vehicle, halted or not, and the same
-        # ids bucketed by cell; both written at set-up and on mobility ticks.
-        self._positions: dict[int, Position] = {}
+        # Every vehicle, halted or not, bucketed by cell at its node's
+        # own_position; written at set-up and on mobility ticks.
         self._grid = CellGrid(config.radio_range)
         self.probe_results: list[RouteResult] = []
         self._trace: list[TraceRecord] = []
@@ -397,10 +398,9 @@ class Simulation:
                 vehicle.vx = speed * math.cos(angle)
                 vehicle.vy = speed * math.sin(angle)
             self.vehicles[node_id] = vehicle
-            self._positions[node_id] = vehicle.position
             self.nodes[node_id] = make_node(
                 node_id=node_id,
-                position=self._positions[node_id],
+                position=vehicle.position,
                 config=cfg.node_config,
                 dh_mode=cfg.dh_mode,
                 rng=random.Random(f"{cfg.seed}/node/{node_id}"),
@@ -424,7 +424,6 @@ class Simulation:
             self._push(MOBILITY_TICK_INTERVAL, EventKind.MOBILITY_TICK, 0, None)
         for index, probe in enumerate(cfg.probes):
             self._push(probe.at, EventKind.ROUTE_PROBE, probe.src, (index, probe))
-        self._push(cfg.duration, EventKind.END, 0, None)
 
     def _push(self, at: float, kind: EventKind, node: int, payload: object) -> None:
         heapq.heappush(self._heap, (at, int(kind), node, self._seq, payload))
@@ -436,7 +435,7 @@ class Simulation:
               extra: dict | None = None) -> None:
         if t > self.config.duration:
             return  # effect lands beyond the simulated horizon
-        pos = self._positions[node]
+        pos = self.nodes[node].own_position
         self._trace.append(TraceRecord(t, ev, node, peer, (pos.x, pos.y), extra or {}))
 
     def _halted(self, node_id: int, now: float) -> bool:
@@ -444,8 +443,8 @@ class Simulation:
         return halt is not None and now >= halt
 
     def _rebuild_grid(self) -> None:
-        self._grid.rebuild((node_id, pos.x, pos.y)
-                           for node_id, pos in self._positions.items())
+        self._grid.rebuild((node_id, state.own_position.x, state.own_position.y)
+                           for node_id, state in self.nodes.items())
 
     def _radio_view(self, at: float, sender: int, ptype: PacketType,
                     dest: int | None) -> dict[int, Position]:
@@ -456,10 +455,10 @@ class Simulation:
         beacon, the addressee for an ACK.
         """
         nearby = self._grid.block(sender) if ptype is PacketType.BEACON else (dest,)
-        positions = self._positions
-        view = {node_id: positions[node_id] for node_id in nearby
+        nodes = self.nodes
+        view = {node_id: nodes[node_id].own_position for node_id in nearby
                 if not self._halted(node_id, at)}
-        view[sender] = positions[sender]
+        view[sender] = nodes[sender].own_position
         return view
 
     # -- event handlers --------------------------------------------------
@@ -497,36 +496,28 @@ class Simulation:
         sender, length, pkt = payload
         state = self.nodes[node_id]
         costs = self.config.crypto_costs
-        prev_key = self._current_key(state, sender)
+        entry = state.neighbors.get(sender)
+        prev_key = entry.key if entry is not None else None
         if pkt.ptype is PacketType.BEACON:
             self._emit(now, EV_BEACON_RX, node_id, sender, {"len": length})
             ack = state.on_receive_beacon(pkt, now)
             done = now + (costs.receiver_secret if costs else 0.0)
-            self._emit_key_change(state, sender, prev_key, done)
-            # A node that halts while computing its secret never answers.
-            if ack is not None and not self._halted(node_id, done):
-                ack_len = len(encode_packet(ack))
-                self._emit(done, EV_ACK_TX, node_id, sender, {"len": ack_len})
-                self._send(done, node_id, sender, ack, ack_len)
         else:
             self._emit(now, EV_ACK_RX, node_id, sender, {"len": length})
             state.on_receive_ack(pkt, now)
+            ack = None
             done = now + (costs.sender_secret if costs else 0.0)
-            self._emit_key_change(state, sender, prev_key, done)
-
-    @staticmethod
-    def _current_key(state: NodeState, peer: int) -> bytes | None:
-        entry = state.neighbors.get(peer)
-        return entry.key if entry is not None else None
-
-    def _emit_key_change(self, state: NodeState, peer: int,
-                         prev_key: bytes | None, at: float) -> None:
-        new_key = self._current_key(state, peer)
-        # A node that halts while computing the secret never records it.
-        if (new_key is not None and new_key != prev_key
-                and not self._halted(state.node_id, at)):
-            self._emit(at, EV_KEY_ESTABLISHED, state.node_id, peer,
-                       {"key": new_key.hex()})
+        # A node that halts while computing its secret neither records
+        # the key nor answers.
+        if self._halted(node_id, done):
+            return
+        key = state.neighbors[sender].key
+        if key is not None and key != prev_key:
+            self._emit(done, EV_KEY_ESTABLISHED, node_id, sender, {"key": key.hex()})
+        if ack is not None:
+            ack_len = len(encode_packet(ack))
+            self._emit(done, EV_ACK_TX, node_id, sender, {"len": ack_len})
+            self._send(done, node_id, sender, ack, ack_len)
 
     def _handle_mobility_tick(self, now: float) -> None:
         cfg = self.config
@@ -536,13 +527,9 @@ class Simulation:
             vehicle = self.vehicles[node_id]
             mobility_update(vehicle, MOBILITY_TICK_INTERVAL, cfg.area,
                             cfg.mobility, cfg.speed_range, self._rng_move)
-            position = vehicle.position
-            self._positions[node_id] = position
-            self.nodes[node_id].own_position = position
+            self.nodes[node_id].own_position = vehicle.position
         self._rebuild_grid()
-        nxt = now + MOBILITY_TICK_INTERVAL
-        if nxt <= cfg.duration:
-            self._push(nxt, EventKind.MOBILITY_TICK, 0, None)
+        self._push(now + MOBILITY_TICK_INTERVAL, EventKind.MOBILITY_TICK, 0, None)
 
     def _handle_route_probe(self, now: float, payload: object) -> None:
         index, probe = payload
@@ -558,10 +545,10 @@ class Simulation:
     # -- main loop -------------------------------------------------------
 
     def run(self) -> tuple[Trace, Metrics]:
-        while self._heap:
-            at, kind, node, _seq, payload = heapq.heappop(self._heap)
-            if kind == EventKind.END:
-                break
+        heap = self._heap
+        duration = self.config.duration
+        while heap and heap[0][0] <= duration:
+            at, kind, node, _seq, payload = heapq.heappop(heap)
             if kind == EventKind.BEACON_TIMER:
                 self._handle_beacon_timer(node, at, payload)
             elif kind == EventKind.PACKET_DELIVERY:
@@ -573,8 +560,7 @@ class Simulation:
         # Cost-shifted effects are emitted out of order; re-sort stably.
         trace = Trace(sorted(self._trace, key=attrgetter("t")))
         metrics = compute_metrics(
-            trace, radio_range=self.config.radio_range,
-            duration=self.config.duration)
+            trace, radio_range=self.config.radio_range, duration=duration)
         return trace, metrics
 
 

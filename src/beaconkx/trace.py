@@ -60,9 +60,6 @@ class Trace:
     def __init__(self, records: list[TraceRecord] | None = None) -> None:
         self.records: list[TraceRecord] = list(records or [])
 
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
     def __iter__(self):
         return iter(self.records)
 

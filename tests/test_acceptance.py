@@ -36,7 +36,6 @@ from beaconkx.dh import (
 )
 from beaconkx.protocol import (
     DhMode,
-    HandshakeState,
     NeighborEntry,
     NodeConfig,
     NodeState,
@@ -298,8 +297,7 @@ def _static_nodes(positions, radio_range):
                           rng=random.Random(node_id))
         for peer in adjacency[node_id]:
             state.neighbors[peer] = NeighborEntry(
-                peer, positions[peer], last_seen=0.0,
-                state=HandshakeState.ESTABLISHED, key=b"\x00" * 16)
+                peer, positions[peer], last_seen=0.0, key=b"\x00" * 16)
         nodes[node_id] = state
     return nodes
 

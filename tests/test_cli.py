@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from beaconkx.cli import golden_vector_lines, main, run_bench
+from beaconkx.cli import REFERENCE_NS, golden_vector_lines, main, run_bench
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -84,6 +84,12 @@ class TestRunCommand:
         ("sim.speed_max = 1e308", "sim.speed_max"),
         ("sim.speed_max = 1\nsim.area_width = 1e-300", "sim.speed_max"),
         ("sim.speed_max = 1\nsim.placements = 1e300,0; 0,0", "sim.placements"),
+        ("node.beacon_interval = 0", "node.beacon_interval"),
+        ("node.expiry_multiplier = 1", "node.expiry_multiplier"),
+        ("node.target_degree = 0", "node.target_degree"),
+        ("node.adapt_gain = -1", "node.adapt_gain"),
+        ("node.interval_min = 2", "node.interval_min"),
+        ("sim.halts = 2:1; 2:5", "sim.halts"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
@@ -259,6 +265,11 @@ class TestBenchCommand:
             result.param_gen_ns + result.initiator_secret_ns
             + result.responder_secret_ns)
         assert result.param_gen_ns > 0
+
+    def test_reference_column_is_the_default_crypto_costs(self):
+        assert REFERENCE_NS == {"param_gen": 3509800629,
+                                "initiator_secret": 49069788,
+                                "responder_secret": 36127233}
 
 
 class TestVectorsCommand:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from beaconkx.cli import main
 from beaconkx.codec import Position
-from beaconkx.config import KNOWN_KEYS, ConfigFileError, parse_config_text
+from beaconkx.config import KNOWN_KEYS, parse_config_text
 from beaconkx.protocol import DhMode
 from beaconkx.sim import ConfigError, Mobility
 
@@ -63,6 +63,12 @@ class TestParsing:
         assert cfg.radio_range == 250.0
         assert cfg.seed == 1
 
+    def test_half_a_pair_keeps_the_other_default(self):
+        cfg = parse_config_text(
+            "sim.n_vehicles = 2\nsim.area_width = 500\nsim.speed_max = 3")
+        assert cfg.area == (500.0, 1000.0)
+        assert cfg.speed_range == (0.0, 3.0)
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config_text(
             "\n# full line comment\nsim.n_vehicles = 3  # trailing\n\n")
@@ -79,39 +85,40 @@ class TestParsing:
 
 class TestRejection:
     def test_unknown_key_named_in_error(self):
-        with pytest.raises(ConfigFileError, match="sim.n_vehicels"):
+        with pytest.raises(ConfigError, match="sim.n_vehicels"):
             parse_config_text("sim.n_vehicels = 2")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigFileError, match="duplicate"):
+        with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("sim.n_vehicles = 2\nsim.n_vehicles = 3")
 
     def test_missing_equals_rejected(self):
-        with pytest.raises(ConfigFileError, match="line 1"):
+        with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("sim.n_vehicles 2")
 
     def test_bad_value_type_rejected(self):
-        with pytest.raises(ConfigFileError, match="sim.n_vehicles"):
+        with pytest.raises(ConfigError, match="sim.n_vehicles"):
             parse_config_text("sim.n_vehicles = lots")
 
     def test_missing_required_key(self):
-        with pytest.raises(ConfigFileError, match="sim.n_vehicles"):
+        with pytest.raises(ConfigError, match="sim.n_vehicles"):
             parse_config_text("sim.duration = 5")
 
-    def test_bad_mobility_word(self):
-        with pytest.raises(ConfigFileError, match="sim.mobility"):
-            parse_config_text("sim.n_vehicles = 2\nsim.mobility = teleport")
+    @pytest.mark.parametrize("key", ["sim.mobility", "sim.dh_mode"])
+    def test_bad_word(self, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"sim.n_vehicles = 2\n{key} = teleport")
 
     def test_cost_override_requires_costs_enabled(self):
-        with pytest.raises(ConfigFileError, match="crypto_costs"):
+        with pytest.raises(ConfigError, match="crypto_costs"):
             parse_config_text("sim.n_vehicles = 2\nsim.cost_param_gen = 1.0")
 
     def test_malformed_placements(self):
-        with pytest.raises(ConfigFileError, match="placements"):
+        with pytest.raises(ConfigError, match="placements"):
             parse_config_text("sim.n_vehicles = 1\nsim.placements = 1,2,3")
 
     def test_semantic_validation_applied(self):
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigError):
             parse_config_text("sim.n_vehicles = 2\nnode.beacon_interval = 0")
 
 

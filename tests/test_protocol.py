@@ -18,7 +18,6 @@ from beaconkx.codec import (
 from beaconkx.dh import DhKeyPair, DhParams, derive_symmetric_key, keypair_from_private
 from beaconkx.protocol import (
     DhMode,
-    HandshakeState,
     NeighborEntry,
     NodeConfig,
     NodeState,
@@ -140,12 +139,6 @@ class TestBeaconTimer:
         assert 9 in node.neighbors
         assert node.expire_neighbors(10.0) == [9]
 
-    def test_unkeyed_entries_become_pending(self):
-        node = textbook_node(1, 6)
-        node.neighbors[9] = NeighborEntry(9, Position(1.0, 1.0), last_seen=0.0)
-        node.on_timer_beacon(0.5)
-        assert node.neighbors[9].state is HandshakeState.PENDING
-
 
 class TestHandshake:
     def test_responder_establishes_and_acks(self):
@@ -155,7 +148,6 @@ class TestHandshake:
 
         ack = responder.on_receive_beacon(beacon, 0.1)
         entry = responder.neighbors[1]
-        assert entry.state is HandshakeState.ESTABLISHED
         assert entry.key == KEY_FOR_SECRET_2
         assert entry.last_seen == 0.1
         assert ack is not None
@@ -170,7 +162,6 @@ class TestHandshake:
 
         initiator.on_receive_ack(ack, 0.2)
         entry = initiator.neighbors[2]
-        assert entry.state is HandshakeState.ESTABLISHED
         assert entry.key == responder.neighbors[1].key == KEY_FOR_SECRET_2
 
     def test_repeat_beacon_refreshes_without_rekeying(self):
@@ -192,7 +183,6 @@ class TestHandshake:
                               public_value=int_to_magnitude(0))
         ack = responder.on_receive_beacon(beacon, 0.5)
         entry = responder.neighbors[1]
-        assert entry.state is HandshakeState.NONE
         assert entry.key is None
         assert entry.position == Position(3.0, 4.0)
         assert ack is not None
@@ -203,7 +193,7 @@ class TestHandshake:
                            src_pos=Position(1.0, 0.0),
                            public_value=int_to_magnitude(19))
         initiator.on_receive_ack(ack, 0.3)
-        assert initiator.neighbors[7].state is HandshakeState.ESTABLISHED
+        assert initiator.neighbors[7].key is not None
 
     def test_duplicate_ack_idempotent(self):
         initiator = textbook_node(1, 6)
@@ -212,10 +202,10 @@ class TestHandshake:
                            public_value=int_to_magnitude(19))
         initiator.on_receive_ack(ack, 0.3)
         first = initiator.neighbors[7]
-        snapshot = (first.state, first.key, first.position)
+        snapshot = (first.key, first.position)
         initiator.on_receive_ack(ack, 0.4)
         second = initiator.neighbors[7]
-        assert (second.state, second.key, second.position) == snapshot
+        assert (second.key, second.position) == snapshot
         assert second.last_seen == 0.4
 
     def test_own_beacon_ignored(self):
@@ -344,7 +334,6 @@ class TestFleetMemo:
             ack = a.on_receive_beacon(b.on_timer_beacon(t), t + 0.1)
             b.on_receive_ack(ack, t + 0.2)
             assert b.neighbors[1].key is None
-            assert b.neighbors[1].state is HandshakeState.NONE
         assert secret_calls.count((23, b_private, a_public)) == 3
 
     def test_foreign_group_beacon_in_global_mode_is_not_mirrored(self, secret_calls):
@@ -400,7 +389,6 @@ class TestGreedyNextHop:
     def add(self, node, peer, x, y, keyed=True):
         entry = NeighborEntry(peer, Position(x, y), last_seen=0.0)
         if keyed:
-            entry.state = HandshakeState.ESTABLISHED
             entry.key = KEY_FOR_SECRET_2
         node.neighbors[peer] = entry
 
