@@ -27,6 +27,7 @@ from .codec import (
 )
 from .config import load_config_file
 from .dh import (
+    MAX_MODULUS_BITS,
     MIN_MODULUS_BITS,
     compute_shared_secret,
     derive_symmetric_key,
@@ -214,8 +215,9 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.bits < MIN_MODULUS_BITS:
-        print(f"error: --bits must be >= {MIN_MODULUS_BITS}", file=sys.stderr)
+    if not MIN_MODULUS_BITS <= args.bits <= MAX_MODULUS_BITS:
+        print(f"error: --bits must be in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}]",
+              file=sys.stderr)
         return EXIT_USAGE
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)

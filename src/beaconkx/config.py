@@ -187,16 +187,11 @@ def parse_config_text(text: str) -> SimConfig:
     for key, kind in _NODE_FIELDS.items():
         if key in values:
             node_kwargs[key.split(".", 1)[1]] = _parse_scalar(key, values[key], kind)
-    try:
-        sim_kwargs["node_config"] = NodeConfig(**node_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"node configuration invalid: {exc}") from exc
+    sim_kwargs["node_config"] = NodeConfig(**node_kwargs)
 
     if "n_vehicles" not in sim_kwargs:
         raise ConfigError("required key 'sim.n_vehicles' is missing")
-    config = SimConfig(**sim_kwargs)
-    config.validate()
-    return config
+    return SimConfig(**sim_kwargs)
 
 
 def load_config_file(path: str) -> SimConfig:

@@ -21,8 +21,10 @@ SYMMETRIC_KEY_LEN = 16
 # Default Miller-Rabin round count: error probability <= 4^-40.
 DEFAULT_PRIMALITY_ROUNDS = 40
 
-# Smallest modulus size accepted by parameter generation.
+# Modulus sizes accepted by parameter generation. The prime search
+# grows steeply with the size: 2048 bits already takes seconds.
 MIN_MODULUS_BITS = 16
+MAX_MODULUS_BITS = 2048
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -40,7 +42,7 @@ class InvalidModulusError(DhError):
 
 
 class ParameterSizeError(DhError):
-    """Requested modulus size below the supported minimum."""
+    """Requested modulus size outside the supported range."""
 
 
 class InvalidPeerValueError(DhError):
@@ -140,11 +142,13 @@ def generate_dh_params(bit_length: int, rng: random.Random,
     does not need.
 
     Raises:
-        ParameterSizeError: if ``bit_length < 16``.
+        ParameterSizeError: if ``bit_length`` is outside
+            ``[MIN_MODULUS_BITS, MAX_MODULUS_BITS]``.
     """
-    if bit_length < MIN_MODULUS_BITS:
+    if not MIN_MODULUS_BITS <= bit_length <= MAX_MODULUS_BITS:
         raise ParameterSizeError(
-            f"modulus size must be >= {MIN_MODULUS_BITS} bits, got {bit_length}")
+            f"modulus size must be in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}] "
+            f"bits, got {bit_length}")
     while True:
         # Force the top bit (exact bit length) and the low bit (odd).
         candidate = rng.getrandbits(bit_length) | (1 << (bit_length - 1)) | 1

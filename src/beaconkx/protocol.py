@@ -19,10 +19,13 @@ Two key-agreement deployments are supported:
 
 * ``DhMode.GLOBAL_PARAMS`` - every node shares one (p, w) group; beacons
   are version 1 and carry only the sender's public value.
-* ``DhMode.PER_NODE_PARAMS`` - each node generates its own group at
-  start-up; beacons are version 2 and carry (p, w, public) so that the
-  responder can compute inside the initiator's group. ACKs always carry
-  a bare public value (the responder's, in the initiator's group).
+* ``DhMode.PER_NODE_PARAMS`` - each node has its own group, drawn by
+  the fleet builder; beacons are version 2 and carry (p, w, public) so
+  that the responder can compute inside the initiator's group.
+
+A responder answers with its own key pair only inside its own group; in
+any other it uses a pair kept per peer, whatever its mode, so both ends
+derive one key. ACKs always carry a bare public value.
 
 Keys derived from shared secrets live in a :class:`SecretMemo` that a
 simulation shares across its fleet, keyed by the inputs of the
@@ -60,9 +63,19 @@ from .dh import (
     DhParams,
     compute_shared_secret,
     derive_symmetric_key,
-    generate_dh_params,
     generate_keypair,
 )
+
+
+class ConfigError(ValueError):
+    """Configuration rejected before any event runs; names the key at fault."""
+
+
+def _check_number(key: str, value: float, positive: bool = False) -> None:
+    """Reject NaN, infinities and negatives, and zero when ``positive``."""
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        need = "positive" if positive else "non-negative"
+        raise ConfigError(f"{key} must be finite and {need}, got {value!r}")
 
 
 class DhMode(Enum):
@@ -147,26 +160,19 @@ class NodeConfig:
     interval_max: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in ("beacon_interval", "expiry_multiplier", "adapt_gain",
-                     "interval_min", "interval_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"node.{name} must be finite, got {value!r}")
-        if self.beacon_interval <= 0:
-            raise ValueError(
-                f"node.beacon_interval must be positive, got {self.beacon_interval!r}")
+        for name in ("beacon_interval", "expiry_multiplier", "interval_min",
+                     "interval_max"):
+            _check_number(f"node.{name}", getattr(self, name), positive=True)
+        _check_number("node.adapt_gain", self.adapt_gain)
         if self.expiry_multiplier <= 1:
-            raise ValueError(
+            raise ConfigError(
                 f"node.expiry_multiplier must be > 1, got {self.expiry_multiplier!r}")
         if self.target_degree < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"node.target_degree must be >= 1, got {self.target_degree!r}")
-        if self.adapt_gain < 0:
-            raise ValueError(
-                f"node.adapt_gain must be non-negative, got {self.adapt_gain!r}")
-        if not 0 < self.interval_min <= self.beacon_interval <= self.interval_max:
-            raise ValueError(
-                "need 0 < node.interval_min <= node.beacon_interval <= "
+        if not self.interval_min <= self.beacon_interval <= self.interval_max:
+            raise ConfigError(
+                "need node.interval_min <= node.beacon_interval <= "
                 f"node.interval_max, got {self.interval_min!r}, "
                 f"{self.beacon_interval!r}, {self.interval_max!r}")
 
@@ -184,8 +190,8 @@ class NodeState:
     rng: random.Random
     neighbors: dict[int, NeighborEntry] = field(default_factory=dict)
     next_beacon_at: float = 0.0
-    # Responder key pairs generated inside initiators' groups (per-node
-    # mode). Kept outside the table so a re-appearing neighbor re-derives
+    # Responder key pairs generated inside initiators' groups other than
+    # our own. Kept outside the table so a re-appearing neighbor re-derives
     # the same key; keyed by peer id.
     _responder_keys: dict[int, tuple[DhParams, DhKeyPair]] = field(
         default_factory=dict, repr=False)
@@ -258,10 +264,8 @@ class NodeState:
             entry.key = None
             return None
 
-        if self.dh_mode is DhMode.PER_NODE_PARAMS and pkt.version == VERSION_PARAM_TRIPLE:
-            responder = self._responder_keypair(pkt.identifiant, params)
-        else:
-            responder = self.keypair
+        responder = (self.keypair if params is self.dh_params
+                     else self._responder_keypair(pkt.identifiant, params))
         entry.key = self.memo.key(params, responder, peer_public)
 
         return BeaconPacket(
@@ -282,13 +286,10 @@ class NodeState:
         if pkt.identifiant == self.node_id:
             return
         entry = self._refresh_entry(pkt.identifiant, pkt.src_pos, now)
-        try:
-            peer_public = magnitude_to_int(pkt.public_value)
-        except ValueError:
-            entry.key = None
-            return
         # The ack answers in our own group.
-        entry.key = self.memo.key(self.dh_params, self.keypair, peer_public)
+        params, peer_public = self._parse_exchange(pkt)
+        entry.key = None if params is None else self.memo.key(
+            params, self.keypair, peer_public)
 
     # ------------------------------------------------------------------
     # table maintenance and forwarding
@@ -366,23 +367,14 @@ class NodeState:
 
 
 def make_node(node_id: int, position: Position, config: NodeConfig,
-              dh_mode: DhMode, rng: random.Random,
-              shared_params: DhParams | None = None,
-              dh_bits: int | None = None,
+              dh_mode: DhMode, rng: random.Random, params: DhParams,
               memo: SecretMemo | None = None) -> NodeState:
-    """Stand up a node: group parameters (own or shared) plus a key pair.
+    """Stand up a node in the group ``params`` with a key pair drawn from ``rng``.
 
-    Nodes given one ``memo`` share their exchanges' keys; without one the
-    node gets its own.
+    The caller picks the group: one shared by the fleet in global mode,
+    the node's own in per-node mode. Nodes given one ``memo`` share their
+    exchanges' keys; without one the node gets its own.
     """
-    if dh_mode is DhMode.GLOBAL_PARAMS:
-        if shared_params is None:
-            raise ValueError("global mode requires shared_params")
-        params = shared_params
-    else:
-        if dh_bits is None:
-            raise ValueError("per-node mode requires dh_bits")
-        params = generate_dh_params(dh_bits, rng)
     keypair = generate_keypair(params, rng)
     memo = SecretMemo() if memo is None else memo
     memo.register(params, keypair)

@@ -51,10 +51,11 @@ from operator import attrgetter
 from typing import Mapping
 
 from .codec import BeaconPacket, PacketType, Position, encode_packet
-from .dh import MIN_MODULUS_BITS, generate_dh_params
+from .dh import MAX_MODULUS_BITS, MIN_MODULUS_BITS, generate_dh_params
 from .grid import CellGrid, pairs_in_range
-from .metrics import Metrics, compute_metrics
-from .protocol import DhMode, NodeConfig, NodeState, SecretMemo, distance, make_node
+from .metrics import SAMPLE_PERIOD, Metrics, compute_metrics
+from .protocol import (ConfigError, DhMode, NodeConfig, NodeState, SecretMemo,
+                       _check_number, distance, make_node)
 from .trace import (
     EV_ACK_RX,
     EV_ACK_TX,
@@ -72,17 +73,12 @@ MOBILITY_TICK_INTERVAL = 0.1
 # Most per-vehicle timer events (beacon timers plus mobility updates) a
 # config may ask for; past it a run would not end in useful time.
 MAX_TIMER_EVENTS = 10**7
-
-
-class ConfigError(ValueError):
-    """Simulation configuration rejected before any event runs."""
-
-
-def _check_number(key: str, value: float, positive: bool = False) -> None:
-    """Reject NaN, infinities and negatives, and zero when ``positive``."""
-    if not math.isfinite(value) or value < 0 or (positive and value == 0):
-        need = "positive" if positive else "non-negative"
-        raise ConfigError(f"{key} must be finite and {need}, got {value!r}")
+# Most vehicles a config may ask for: set-up builds every one of them
+# before the first event, however short the run.
+MAX_VEHICLES = 10**5
+# Most neighbor-table samples, one per SAMPLE_PERIOD, that the metrics
+# replay may take, however few events the run has.
+MAX_SAMPLES = 10**4
 
 
 class Mobility(Enum):
@@ -163,17 +159,23 @@ class SimConfig:
     halts: tuple[tuple[int, float], ...] = ()
     probes: tuple[RouteProbe, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise :class:`ConfigError` naming the config key at fault."""
-        if self.n_vehicles < 1:
-            raise ConfigError("sim.n_vehicles must be >= 1")
-        if self.dh_bits < MIN_MODULUS_BITS:
+        if not 1 <= self.n_vehicles <= MAX_VEHICLES:
             raise ConfigError(
-                f"sim.dh_bits must be >= {MIN_MODULUS_BITS}, got {self.dh_bits}")
+                f"sim.n_vehicles must be in [1, {MAX_VEHICLES}], got {self.n_vehicles}")
+        if not MIN_MODULUS_BITS <= self.dh_bits <= MAX_MODULUS_BITS:
+            raise ConfigError(
+                f"sim.dh_bits must be in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}], "
+                f"got {self.dh_bits}")
         _check_number("sim.area_width", self.area[0], positive=True)
         _check_number("sim.area_height", self.area[1], positive=True)
         _check_number("sim.radio_range", self.radio_range, positive=True)
         _check_number("sim.duration", self.duration, positive=True)
+        if self.duration / SAMPLE_PERIOD > MAX_SAMPLES:
+            raise ConfigError(
+                f"sim.duration {self.duration:g} needs more than {MAX_SAMPLES} "
+                f"metrics samples, one every {SAMPLE_PERIOD:g} s")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ConfigError("sim.loss_rate must be in [0, 1]")
         _check_number("sim.prop_delay", self.prop_delay)
@@ -358,8 +360,8 @@ class Simulation:
     """One simulation run; construct, call :meth:`run`, inspect state."""
 
     def __init__(self, config: SimConfig) -> None:
-        config.validate()
         self.config = config
+        self._costs = config.crypto_costs or CryptoCosts(0.0, 0.0, 0.0)
         self.nodes: dict[int, NodeState] = {}
         self.vehicles: dict[int, Vehicle] = {}
         # Every vehicle, halted or not, bucketed by cell at its node's
@@ -381,11 +383,9 @@ class Simulation:
         cfg = self.config
         rng_place = random.Random(f"{cfg.seed}/place")
         width, height = cfg.area
-        shared_params = None
         memo = SecretMemo()
-        if cfg.dh_mode is DhMode.GLOBAL_PARAMS:
-            shared_params = generate_dh_params(
-                cfg.dh_bits, random.Random(f"{cfg.seed}/group"))
+        shared_params = (generate_dh_params(cfg.dh_bits, random.Random(f"{cfg.seed}/group"))
+                         if cfg.dh_mode is DhMode.GLOBAL_PARAMS else None)
         for node_id in range(1, cfg.n_vehicles + 1):
             if cfg.placements is not None:
                 x, y = cfg.placements[node_id - 1]
@@ -398,28 +398,28 @@ class Simulation:
                 vehicle.vx = speed * math.cos(angle)
                 vehicle.vy = speed * math.sin(angle)
             self.vehicles[node_id] = vehicle
+            rng = random.Random(f"{cfg.seed}/node/{node_id}")
             self.nodes[node_id] = make_node(
                 node_id=node_id,
                 position=vehicle.position,
                 config=cfg.node_config,
                 dh_mode=cfg.dh_mode,
-                rng=random.Random(f"{cfg.seed}/node/{node_id}"),
-                shared_params=shared_params,
-                dh_bits=cfg.dh_bits,
+                rng=rng,
+                params=shared_params or generate_dh_params(cfg.dh_bits, rng),
                 memo=memo,
             )
         self._rebuild_grid()
 
     def _schedule_initial(self) -> None:
+        """Queue the first mobility tick, the probes and each node's first
+        beacon: a jittered instant within one interval, drawn in id order,
+        that fires later by the one-time parameter-generation cost."""
         cfg = self.config
         rng_timer = random.Random(f"{cfg.seed}/timer")
-        # One-time key material setup charges its cost before the first
-        # beacon can leave the node; a timer's payload is its own time.
-        setup = cfg.crypto_costs.param_gen if cfg.crypto_costs else 0.0
-        for node_id in sorted(self.nodes):
-            jitter = rng_timer.uniform(0, cfg.node_config.beacon_interval)
-            self.nodes[node_id].next_beacon_at = jitter
-            self._push(jitter + setup, EventKind.BEACON_TIMER, node_id, jitter)
+        for node_id, state in self.nodes.items():
+            state.next_beacon_at = rng_timer.uniform(0, cfg.node_config.beacon_interval)
+            self._push(state.next_beacon_at + self._costs.param_gen,
+                       EventKind.BEACON_TIMER, node_id, None)
         if cfg.speed_range[1] > 0:
             self._push(MOBILITY_TICK_INTERVAL, EventKind.MOBILITY_TICK, 0, None)
         for index, probe in enumerate(cfg.probes):
@@ -463,11 +463,11 @@ class Simulation:
 
     # -- event handlers --------------------------------------------------
 
-    def _handle_beacon_timer(self, node_id: int, now: float,
-                             timer_at: float) -> None:
+    def _handle_beacon_timer(self, node_id: int, now: float, _payload: None) -> None:
         if self._halted(node_id, now):
             return
         state = self.nodes[node_id]
+        timer_at = state.next_beacon_at
         for expired in state.expire_neighbors(now):
             self._emit(now, EV_NEIGHBOR_EXPIRED, node_id, expired)
         beacon = state.on_timer_beacon(now)
@@ -475,8 +475,7 @@ class Simulation:
         self._emit(now, EV_BEACON_TX, node_id, None, {
             "len": length, "timer_at": timer_at, "version": beacon.version})
         self._send(now, node_id, None, beacon, length)
-        self._push(state.next_beacon_at, EventKind.BEACON_TIMER, node_id,
-                   state.next_beacon_at)
+        self._push(state.next_beacon_at, EventKind.BEACON_TIMER, node_id, None)
 
     def _send(self, now: float, sender: int, dest: int | None,
               pkt: BeaconPacket, length: int) -> None:
@@ -495,18 +494,17 @@ class Simulation:
             return
         sender, length, pkt = payload
         state = self.nodes[node_id]
-        costs = self.config.crypto_costs
         entry = state.neighbors.get(sender)
         prev_key = entry.key if entry is not None else None
         if pkt.ptype is PacketType.BEACON:
             self._emit(now, EV_BEACON_RX, node_id, sender, {"len": length})
             ack = state.on_receive_beacon(pkt, now)
-            done = now + (costs.receiver_secret if costs else 0.0)
+            done = now + self._costs.receiver_secret
         else:
             self._emit(now, EV_ACK_RX, node_id, sender, {"len": length})
             state.on_receive_ack(pkt, now)
             ack = None
-            done = now + (costs.sender_secret if costs else 0.0)
+            done = now + self._costs.sender_secret
         # A node that halts while computing its secret neither records
         # the key nor answers.
         if self._halted(node_id, done):
@@ -519,19 +517,18 @@ class Simulation:
             self._emit(done, EV_ACK_TX, node_id, sender, {"len": ack_len})
             self._send(done, node_id, sender, ack, ack_len)
 
-    def _handle_mobility_tick(self, now: float) -> None:
+    def _handle_mobility_tick(self, _node: int, now: float, _payload: None) -> None:
         cfg = self.config
-        for node_id in sorted(self.vehicles):
+        for node_id, vehicle in self.vehicles.items():
             if self._halted(node_id, now):
                 continue
-            vehicle = self.vehicles[node_id]
             mobility_update(vehicle, MOBILITY_TICK_INTERVAL, cfg.area,
                             cfg.mobility, cfg.speed_range, self._rng_move)
             self.nodes[node_id].own_position = vehicle.position
         self._rebuild_grid()
         self._push(now + MOBILITY_TICK_INTERVAL, EventKind.MOBILITY_TICK, 0, None)
 
-    def _handle_route_probe(self, now: float, payload: object) -> None:
+    def _handle_route_probe(self, _node: int, now: float, payload: object) -> None:
         index, probe = payload
         result = route_probe(self.nodes, probe.src, probe.dest,
                              max_hops=self.config.n_vehicles)
@@ -547,16 +544,12 @@ class Simulation:
     def run(self) -> tuple[Trace, Metrics]:
         heap = self._heap
         duration = self.config.duration
+        # Indexed by EventKind.
+        handlers = (self._handle_beacon_timer, self._handle_delivery,
+                    self._handle_mobility_tick, self._handle_route_probe)
         while heap and heap[0][0] <= duration:
             at, kind, node, _seq, payload = heapq.heappop(heap)
-            if kind == EventKind.BEACON_TIMER:
-                self._handle_beacon_timer(node, at, payload)
-            elif kind == EventKind.PACKET_DELIVERY:
-                self._handle_delivery(node, at, payload)
-            elif kind == EventKind.MOBILITY_TICK:
-                self._handle_mobility_tick(at)
-            elif kind == EventKind.ROUTE_PROBE:
-                self._handle_route_probe(at, payload)
+            handlers[kind](node, at, payload)
         # Cost-shifted effects are emitted out of order; re-sort stably.
         trace = Trace(sorted(self._trace, key=attrgetter("t")))
         metrics = compute_metrics(

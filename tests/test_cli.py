@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from beaconkx.cli import REFERENCE_NS, golden_vector_lines, main, run_bench
+from beaconkx.dh import MAX_MODULUS_BITS
+from beaconkx.sim import MAX_SAMPLES, MAX_VEHICLES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -101,18 +103,30 @@ class TestRunCommand:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "t.jsonl").exists()
 
-    def test_endless_duration_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("lines, key", [
+        ("sim.n_vehicles = 2\nsim.dh_bits = 64\nsim.duration = 1e308", "sim.duration"),
+        # Few timer events, but one metrics sample per simulated second.
+        (f"sim.n_vehicles = 2\nsim.dh_bits = 64\nsim.duration = {10 * MAX_SAMPLES}\n"
+         f"node.beacon_interval = {MAX_SAMPLES}\nnode.interval_max = {MAX_SAMPLES}",
+         "sim.duration"),
+        # Nothing to simulate, but every vehicle is built first.
+        (f"sim.n_vehicles = {MAX_VEHICLES + 1}\nsim.dh_bits = 64\nsim.duration = 1e-6",
+         "sim.n_vehicles"),
+        (f"sim.n_vehicles = 2\nsim.duration = 1\nsim.dh_bits = {MAX_MODULUS_BITS + 1}",
+         "sim.dh_bits"),
+    ])
+    def test_endless_duration_exits_2(self, tmp_path, lines, key):
         # In a subprocess, so that a missing guard fails by timeout
         # instead of hanging the suite.
         cfg = tmp_path / "endless.cfg"
-        cfg.write_text("sim.n_vehicles = 2\nsim.dh_bits = 64\nsim.duration = 1e308\n")
+        cfg.write_text(lines + "\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         done = subprocess.run(
             [sys.executable, "-m", "beaconkx", "run", "--config", str(cfg),
              "--trace", str(tmp_path / "t.jsonl"), "--metrics", str(tmp_path / "m.json")],
             env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
-        assert "sim.duration" in done.stderr
+        assert key in done.stderr
         assert not (tmp_path / "t.jsonl").exists()
 
     def test_repeat_runs_byte_identical(self, tmp_path, two_node_cfg):
@@ -254,6 +268,7 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--bits", "8"],
+        ["--bits", str(MAX_MODULUS_BITS + 1)],
         ["--trials", "0"],
     ])
     def test_bad_flags_exit_2(self, flags, capsys):

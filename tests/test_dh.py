@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beaconkx.dh import (
+    MAX_MODULUS_BITS,
     DhError,
     DhParams,
     InvalidModulusError,
@@ -116,6 +117,10 @@ class TestParamGeneration:
     def test_too_small_rejected(self):
         with pytest.raises(ParameterSizeError):
             generate_dh_params(8, random.Random(1))
+
+    def test_too_large_rejected(self):
+        with pytest.raises(ParameterSizeError):
+            generate_dh_params(MAX_MODULUS_BITS + 1, random.Random(1))
 
     def test_deterministic_given_seed(self):
         assert generate_dh_params(64, random.Random(9)) == \

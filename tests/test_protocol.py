@@ -15,8 +15,15 @@ from beaconkx.codec import (
     int_to_magnitude,
     magnitude_to_int,
 )
-from beaconkx.dh import DhKeyPair, DhParams, derive_symmetric_key, keypair_from_private
+from beaconkx.dh import (
+    DhKeyPair,
+    DhParams,
+    derive_symmetric_key,
+    generate_dh_params,
+    keypair_from_private,
+)
 from beaconkx.protocol import (
+    ConfigError,
     DhMode,
     NeighborEntry,
     NodeConfig,
@@ -64,6 +71,10 @@ class TestNodeConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NodeConfig(**kwargs)
+
+    def test_nan_interval_is_a_config_error_naming_its_key(self):
+        with pytest.raises(ConfigError, match="node.beacon_interval"):
+            NodeConfig(beacon_interval=math.nan)
 
 
 class TestEffectiveInterval:
@@ -217,12 +228,13 @@ class TestHandshake:
 
 class TestPerNodeParams:
     def test_responder_answers_in_initiators_group(self):
-        rng = random.Random(5)
+        rng_a, rng_b = random.Random(1), random.Random(5)
         initiator = make_node(1, Position(0.0, 0.0), NodeConfig(),
-                              DhMode.PER_NODE_PARAMS, rng=random.Random(1),
-                              dh_bits=64)
+                              DhMode.PER_NODE_PARAMS, rng=rng_a,
+                              params=generate_dh_params(64, rng_a))
         responder = make_node(2, Position(10.0, 0.0), NodeConfig(),
-                              DhMode.PER_NODE_PARAMS, rng=rng, dh_bits=64)
+                              DhMode.PER_NODE_PARAMS, rng=rng_b,
+                              params=generate_dh_params(64, rng_b))
         assert initiator.dh_params != responder.dh_params
 
         beacon = initiator.on_timer_beacon(0.0)
@@ -235,19 +247,21 @@ class TestPerNodeParams:
         assert initiator.neighbors[2].key is not None
 
     def test_beacon_round_trips_through_wire(self):
+        rng = random.Random(1)
         node = make_node(1, Position(0.0, 0.0), NodeConfig(),
-                         DhMode.PER_NODE_PARAMS, rng=random.Random(1),
-                         dh_bits=64)
+                         DhMode.PER_NODE_PARAMS, rng=rng,
+                         params=generate_dh_params(64, rng))
         beacon = node.on_timer_beacon(0.0)
         assert decode_packet(encode_packet(beacon)) == beacon
 
     def test_rekey_is_stable_across_repeat_exchanges(self):
+        rng_a, rng_b = random.Random(1), random.Random(2)
         initiator = make_node(1, Position(0.0, 0.0), NodeConfig(),
-                              DhMode.PER_NODE_PARAMS, rng=random.Random(1),
-                              dh_bits=64)
+                              DhMode.PER_NODE_PARAMS, rng=rng_a,
+                              params=generate_dh_params(64, rng_a))
         responder = make_node(2, Position(10.0, 0.0), NodeConfig(),
-                              DhMode.PER_NODE_PARAMS, rng=random.Random(2),
-                              dh_bits=64)
+                              DhMode.PER_NODE_PARAMS, rng=rng_b,
+                              params=generate_dh_params(64, rng_b))
         keys = set()
         for t in (0.0, 1.0, 2.0):
             beacon = initiator.on_timer_beacon(t)
@@ -336,19 +350,38 @@ class TestFleetMemo:
             assert b.neighbors[1].key is None
         assert secret_calls.count((23, b_private, a_public)) == 3
 
-    def test_foreign_group_beacon_in_global_mode_is_not_mirrored(self, secret_calls):
-        # Same p, another w: node 1's 8 = 5^6 is not 7^6, so a mirror
-        # keyed by p alone would hand node 2 the wrong key.
+    def test_foreign_group_beacon_in_global_mode_agrees_on_a_key(self, secret_calls):
+        # A global-mode node answers a beacon in another group (same p,
+        # another w) with a responder pair drawn in that group, not with
+        # its own pair, so both ends derive one key.
         memo = SecretMemo()
         a = fleet_node(1, TEXTBOOK_PARAMS, 6, memo)
         b = fleet_node(2, DhParams(23, 7), 2, memo, mode=DhMode.PER_NODE_PARAMS)
         beacon = b.on_timer_beacon(0.0)
         assert beacon.version == 2
         ack = a.on_receive_beacon(beacon, 0.1)
-        assert a.neighbors[2].key == derive_symmetric_key(pow(3, 6, 23))
+        responder = a._responder_keys[2][1]
+        assert responder != a.keypair
+        assert magnitude_to_int(ack.public_value) == responder.public_value
         b.on_receive_ack(ack, 0.2)
-        assert secret_calls == [(23, 6, 3), (23, 2, 8)]
-        assert b.neighbors[1].key == derive_symmetric_key(pow(8, 2, 23))
+        key = derive_symmetric_key(pow(7, 2 * responder.private_exponent, 23))
+        assert a.neighbors[2].key == b.neighbors[1].key == key
+        assert secret_calls == [(23, responder.private_exponent, 3)]
+
+    def test_same_p_another_w_is_not_mirrored(self, secret_calls):
+        # Node 1's 8 = 5^6 is registered in the 23/5 group, not in 23/7, so
+        # an exchange in 23/7 with 8 writes no mirror; one keyed by p alone
+        # would hand the 23/5 exchange the wrong key.
+        memo = SecretMemo()
+        a = keypair_from_private(TEXTBOOK_PARAMS, 6)
+        b = keypair_from_private(DhParams(23, 7), 2)
+        memo.register(TEXTBOOK_PARAMS, a)
+        memo.register(DhParams(23, 7), b)
+        assert memo.key(DhParams(23, 7), b, a.public_value) == derive_symmetric_key(
+            pow(8, 2, 23))
+        assert memo.key(TEXTBOOK_PARAMS, a, b.public_value) == derive_symmetric_key(
+            pow(3, 6, 23))
+        assert secret_calls == [(23, 2, 8), (23, 6, 3)]
 
     def test_unregistered_own_pair_is_not_mirrored(self, secret_calls):
         # 9 is not 5^6: a mirror written for node 1's pair would be wrong.

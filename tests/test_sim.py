@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beaconkx.codec import PacketType, Position, decode_packet, encode_packet
-from beaconkx.dh import DhParams
+from beaconkx.dh import MAX_MODULUS_BITS, DhParams
 from beaconkx.grid import cell_side
+from beaconkx.metrics import SAMPLE_PERIOD
 from beaconkx.protocol import DhMode, NeighborEntry, NodeConfig, NodeState, make_node
 from beaconkx.sim import (
+    MAX_SAMPLES,
+    MAX_VEHICLES,
     ConfigError,
     CryptoCosts,
     Mobility,
@@ -60,14 +63,26 @@ class TestConfigValidation:
         {"n_vehicles": 2, "halts": ((3, 1.0),)},
         {"n_vehicles": 2, "halts": ((1, 99.0),)},
         {"n_vehicles": 2, "probes": (RouteProbe(1.0, 9, Position(0.0, 0.0)),)},
+        {"n_vehicles": MAX_VEHICLES + 1, "duration": 1e-6},
+        {"n_vehicles": 2, "dh_bits": MAX_MODULUS_BITS + 1},
+        {"n_vehicles": 2, "duration": MAX_SAMPLES * SAMPLE_PERIOD * 1.001,
+         "node_config": NodeConfig(beacon_interval=1e4, interval_max=1e4)},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            SimConfig(**kwargs).validate()
+            SimConfig(**kwargs)
 
     def test_error_raised_before_any_simulation(self):
         with pytest.raises(ConfigError):
             run(SimConfig(n_vehicles=0))
+
+    def test_replace_checks_the_copy(self):
+        valid = two_node_config(100.0)
+        with pytest.raises(ConfigError, match="sim.n_vehicles"):
+            replace(valid, n_vehicles=0)
+
+    def test_upper_bounds_are_inclusive(self):
+        SimConfig(n_vehicles=MAX_VEHICLES, duration=1e-6, dh_bits=MAX_MODULUS_BITS)
 
 
 class TestNumericValidation:
@@ -84,7 +99,7 @@ class TestNumericValidation:
     ])
     def test_non_finite_values_name_their_key(self, kwargs, key):
         with pytest.raises(ConfigError, match=key):
-            SimConfig(n_vehicles=2, **kwargs).validate()
+            SimConfig(n_vehicles=2, **kwargs)
 
     @pytest.mark.parametrize("field", ["param_gen", "sender_secret", "receiver_secret"])
     @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
@@ -96,13 +111,13 @@ class TestNumericValidation:
 class TestDurationCap:
     def test_one_timer_per_vehicle_per_shortest_period(self):
         # 1000 static vehicles beaconing every second reach 10^7 at 10^4 s.
-        SimConfig(n_vehicles=1000, duration=1e4).validate()
+        SimConfig(n_vehicles=1000, duration=1e4)
         for overrides in ({"duration": 1.001e4},
                           {"duration": 1001.0, "speed_range": (0.0, 1.0)},
                           {"duration": 5001.0, "node_config": NodeConfig(
                               adaptive=True, interval_min=0.5)}):
             with pytest.raises(ConfigError, match="sim.duration"):
-                SimConfig(n_vehicles=1000, **overrides).validate()
+                SimConfig(n_vehicles=1000, **overrides)
 
 
 class TestDeliverInRange:
@@ -673,10 +688,10 @@ class TestRouteProbe:
         params = DhParams(p=23, w=5)
         node_a = make_node(1, Position(0.0, 0.0), NodeConfig(),
                            DhMode.GLOBAL_PARAMS, rng=random.Random(1),
-                           shared_params=params)
+                           params=params)
         node_b = make_node(2, Position(5.0, 0.0), NodeConfig(),
                            DhMode.GLOBAL_PARAMS, rng=random.Random(2),
-                           shared_params=params)
+                           params=params)
         node_a.neighbors[2] = NeighborEntry(2, Position(8.0, 0.0), 0.0)
         node_b.neighbors[1] = NeighborEntry(1, Position(9.0, 0.0), 0.0)
         result = route_probe({1: node_a, 2: node_b}, 1, Position(10.0, 0.0),
