@@ -46,7 +46,6 @@ from .sim import (
     RouteResult,
     SimConfig,
     Simulation,
-    deliver_in_range,
     ground_truth_neighbors,
     mobility_update,
     route_probe,
@@ -63,8 +62,8 @@ __all__ = [
     "Metrics", "compute_metrics",
     "DhMode", "NeighborEntry", "NodeConfig", "NodeState", "make_node",
     "ConfigError", "CryptoCosts", "Mobility", "RouteOutcome", "RouteProbe",
-    "RouteResult", "SimConfig", "Simulation", "deliver_in_range",
-    "ground_truth_neighbors", "mobility_update", "route_probe", "run",
+    "RouteResult", "SimConfig", "Simulation", "ground_truth_neighbors",
+    "mobility_update", "route_probe", "run",
     "Trace", "TraceRecord",
 ]
 

@@ -83,49 +83,21 @@ def _parse_scalar(key: str, raw: str, kind) -> object:
             f"key '{key}': expected {kind.__name__}, got '{raw}'") from None
 
 
-def _split_items(raw: str) -> list[str]:
-    return [item.strip() for item in raw.split(";") if item.strip()]
-
-
-def _parse_placements(raw: str) -> tuple[tuple[float, float], ...]:
-    key = "sim.placements"
-    placements = []
-    for item in _split_items(raw):
-        parts = item.split(",")
-        if len(parts) != 2:
+def _parse_items(key: str, raw: str, sep: str, **kinds) -> tuple[tuple, ...]:
+    """Parse ``;``-separated items of ``sep``-separated fields, one per
+    keyword of ``kinds`` in order: its name, and the type to parse it as."""
+    items = []
+    for item in raw.split(";"):
+        item = item.strip()
+        if not item:
+            continue
+        parts = item.split(sep)
+        if len(parts) != len(kinds):
             raise ConfigError(
-                f"key '{key}': expected 'x,y' items, got '{item}'")
-        placements.append(tuple(_parse_scalar(key, part, float) for part in parts))
-    return tuple(placements)
-
-
-def _parse_halts(raw: str) -> tuple[tuple[int, float], ...]:
-    key = "sim.halts"
-    halts = []
-    for item in _split_items(raw):
-        parts = item.split(":")
-        if len(parts) != 2:
-            raise ConfigError(
-                f"key '{key}': expected 'node:t' items, got '{item}'")
-        halts.append((_parse_scalar(key, parts[0], int),
-                      _parse_scalar(key, parts[1], float)))
-    return tuple(halts)
-
-
-def _parse_probes(raw: str) -> tuple[RouteProbe, ...]:
-    key = "sim.probes"
-    probes = []
-    for item in _split_items(raw):
-        parts = item.split(":")
-        if len(parts) != 4:
-            raise ConfigError(
-                f"key '{key}': expected 'at:src:x:y' items, got '{item}'")
-        probes.append(RouteProbe(
-            at=_parse_scalar(key, parts[0], float),
-            src=_parse_scalar(key, parts[1], int),
-            dest=Position(_parse_scalar(key, parts[2], float),
-                          _parse_scalar(key, parts[3], float))))
-    return tuple(probes)
+                f"key '{key}': expected '{sep.join(kinds)}' items, got '{item}'")
+        items.append(tuple(_parse_scalar(key, part, kind)
+                           for part, kind in zip(parts, kinds.values())))
+    return tuple(items)
 
 
 def parse_config_text(text: str) -> SimConfig:
@@ -177,11 +149,15 @@ def parse_config_text(text: str) -> SimConfig:
         sim_kwargs["crypto_costs"] = CryptoCosts(**cost_overrides)
 
     if "sim.placements" in values:
-        sim_kwargs["placements"] = _parse_placements(values["sim.placements"])
+        sim_kwargs["placements"] = _parse_items(
+            "sim.placements", values["sim.placements"], ",", x=float, y=float)
     if "sim.halts" in values:
-        sim_kwargs["halts"] = _parse_halts(values["sim.halts"])
+        sim_kwargs["halts"] = _parse_items(
+            "sim.halts", values["sim.halts"], ":", node=int, t=float)
     if "sim.probes" in values:
-        sim_kwargs["probes"] = _parse_probes(values["sim.probes"])
+        sim_kwargs["probes"] = tuple(
+            RouteProbe(at, src, Position(x, y)) for at, src, x, y in _parse_items(
+                "sim.probes", values["sim.probes"], ":", at=float, src=int, x=float, y=float))
 
     node_kwargs = {}
     for key, kind in _NODE_FIELDS.items():

@@ -17,10 +17,10 @@ Liveness is checked per candidate at the send instant, which is not
 monotone in event order: with crypto costs on, an ACK leaves at the end
 of the responder's secret computation, after the delivery that prompted
 it. A node that halts inside that window records no key and sends no
-ACK. A transmission is encoded once, by its sender; every delivery
-carries the sender's packet and the encoded length, so the engine
-decodes nothing. The packet equals the decoding of its bytes: the
-protocol rounds positions to singles, as the wire does.
+ACK. The engine neither encodes nor decodes: every delivery carries the
+sender's packet, whose ``packet_len`` is its length on the wire, and the
+packet equals the decoding of its encoding, since the protocol rounds
+positions to singles, as the wire does.
 
 The nodes share one ``protocol.SecretMemo``, so the two ends of a key
 exchange pay for one exponentiation between them.
@@ -50,7 +50,7 @@ from enum import Enum, IntEnum
 from operator import attrgetter
 from typing import Mapping
 
-from .codec import BeaconPacket, PacketType, Position, encode_packet
+from .codec import BeaconPacket, PacketType, Position
 from .dh import MAX_MODULUS_BITS, MIN_MODULUS_BITS, generate_dh_params
 from .grid import CellGrid, pairs_in_range
 from .metrics import SAMPLE_PERIOD, Metrics, compute_metrics
@@ -79,6 +79,11 @@ MAX_VEHICLES = 10**5
 # Most neighbor-table samples, one per SAMPLE_PERIOD, that the metrics
 # replay may take, however few events the run has.
 MAX_SAMPLES = 10**4
+# Most set-up a config may ask for, in 512-bit prime searches (about
+# 0.06 s each on one Xeon core): one search per group, and one group per
+# vehicle in per-node mode, each weighted by (dh_bits / 512) ** 3.5, the
+# growth timed from 512 to 2048 bits. Past it set-up alone takes minutes.
+MAX_PRIME_SEARCHES = 2000
 
 
 class Mobility(Enum):
@@ -168,6 +173,12 @@ class SimConfig:
             raise ConfigError(
                 f"sim.dh_bits must be in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}], "
                 f"got {self.dh_bits}")
+        groups = self.n_vehicles if self.dh_mode is DhMode.PER_NODE_PARAMS else 1
+        searches = groups * (self.dh_bits / 512) ** 3.5
+        if searches > MAX_PRIME_SEARCHES:
+            raise ConfigError(
+                f"sim.dh_bits {self.dh_bits} in {groups} groups needs set-up worth "
+                f"{searches:.0f} 512-bit prime searches, more than {MAX_PRIME_SEARCHES}")
         _check_number("sim.area_width", self.area[0], positive=True)
         _check_number("sim.area_height", self.area[1], positive=True)
         _check_number("sim.radio_range", self.radio_range, positive=True)
@@ -245,31 +256,7 @@ class Vehicle:
 
 
 # ----------------------------------------------------------------------
-# radio, mobility and oracle primitives
-
-
-def deliver_in_range(positions: Mapping[int, Position], sender: int,
-                     ptype: PacketType, dest: int | None, radio_range: float,
-                     loss_rate: float, rng: random.Random) -> list[tuple[int, bool]]:
-    """Candidate receivers of one transmission, with per-candidate loss.
-
-    Beacons reach every node within the closed disk except the sender;
-    ACKs reach only the addressed node, and only if it is in range.
-    Candidates are drawn against the loss stream in node-id order so the
-    drop pattern is a pure function of the rng state.
-    """
-    origin = positions[sender]
-    if ptype is PacketType.BEACON:
-        candidates = [
-            node_id for node_id in sorted(positions)
-            if node_id != sender and distance(origin, positions[node_id]) <= radio_range
-        ]
-    else:
-        candidates = []
-        if dest is not None and dest in positions and dest != sender:
-            if distance(origin, positions[dest]) <= radio_range:
-                candidates.append(dest)
-    return [(node_id, rng.random() >= loss_rate) for node_id in candidates]
+# mobility and oracle primitives
 
 
 def mobility_update(vehicle: Vehicle, dt: float, area: tuple[float, float],
@@ -446,21 +433,6 @@ class Simulation:
         self._grid.rebuild((node_id, state.own_position.x, state.own_position.y)
                            for node_id, state in self.nodes.items())
 
-    def _radio_view(self, at: float, sender: int, ptype: PacketType,
-                    dest: int | None) -> dict[int, Position]:
-        """The sender plus every node live at ``at`` that could hear it.
-
-        A superset of the receivers, which ``deliver_in_range`` picks by
-        distance: the nodes of the sender's 3 x 3 cell block for a
-        beacon, the addressee for an ACK.
-        """
-        nearby = self._grid.block(sender) if ptype is PacketType.BEACON else (dest,)
-        nodes = self.nodes
-        view = {node_id: nodes[node_id].own_position for node_id in nearby
-                if not self._halted(node_id, at)}
-        view[sender] = nodes[sender].own_position
-        return view
-
     # -- event handlers --------------------------------------------------
 
     def _handle_beacon_timer(self, node_id: int, now: float, _payload: None) -> None:
@@ -471,37 +443,46 @@ class Simulation:
         for expired in state.expire_neighbors(now):
             self._emit(now, EV_NEIGHBOR_EXPIRED, node_id, expired)
         beacon = state.on_timer_beacon(now)
-        length = len(encode_packet(beacon))
         self._emit(now, EV_BEACON_TX, node_id, None, {
-            "len": length, "timer_at": timer_at, "version": beacon.version})
-        self._send(now, node_id, None, beacon, length)
+            "len": beacon.packet_len, "timer_at": timer_at, "version": beacon.version})
+        self._send(now, node_id, None, beacon)
         self._push(state.next_beacon_at, EventKind.BEACON_TIMER, node_id, None)
 
     def _send(self, now: float, sender: int, dest: int | None,
-              pkt: BeaconPacket, length: int) -> None:
-        ptype = pkt.ptype
-        outcomes = deliver_in_range(
-            self._radio_view(now, sender, ptype, dest), sender, ptype, dest,
-            self.config.radio_range, self.config.loss_rate, self._rng_loss)
-        payload = (sender, length, pkt)
-        for recipient, delivered in outcomes:
-            if delivered:
-                self._push(now + self.config.prop_delay,
-                           EventKind.PACKET_DELIVERY, recipient, payload)
+              pkt: BeaconPacket) -> None:
+        """Deliver ``pkt`` to every node live at ``now`` within the closed
+        disk of ``radio_range`` around the sender.
+
+        A beacon's candidates are the nodes of the sender's 3 x 3 cell
+        block, an ACK's its addressee ``dest``. Each candidate in range
+        draws once from the loss stream, in node-id order, so the drop
+        pattern is a pure function of that stream's state.
+        """
+        cfg = self.config
+        nodes = self.nodes
+        origin = nodes[sender].own_position
+        candidates = (sorted(self._grid.block(sender))
+                      if pkt.ptype is PacketType.BEACON else (dest,))
+        payload = (sender, pkt)
+        for node_id in candidates:
+            if (node_id != sender and not self._halted(node_id, now)
+                    and distance(origin, nodes[node_id].own_position) <= cfg.radio_range
+                    and self._rng_loss.random() >= cfg.loss_rate):
+                self._push(now + cfg.prop_delay, EventKind.PACKET_DELIVERY, node_id, payload)
 
     def _handle_delivery(self, node_id: int, now: float, payload: object) -> None:
         if self._halted(node_id, now):
             return
-        sender, length, pkt = payload
+        sender, pkt = payload
         state = self.nodes[node_id]
         entry = state.neighbors.get(sender)
         prev_key = entry.key if entry is not None else None
         if pkt.ptype is PacketType.BEACON:
-            self._emit(now, EV_BEACON_RX, node_id, sender, {"len": length})
+            self._emit(now, EV_BEACON_RX, node_id, sender, {"len": pkt.packet_len})
             ack = state.on_receive_beacon(pkt, now)
             done = now + self._costs.receiver_secret
         else:
-            self._emit(now, EV_ACK_RX, node_id, sender, {"len": length})
+            self._emit(now, EV_ACK_RX, node_id, sender, {"len": pkt.packet_len})
             state.on_receive_ack(pkt, now)
             ack = None
             done = now + self._costs.sender_secret
@@ -513,9 +494,8 @@ class Simulation:
         if key is not None and key != prev_key:
             self._emit(done, EV_KEY_ESTABLISHED, node_id, sender, {"key": key.hex()})
         if ack is not None:
-            ack_len = len(encode_packet(ack))
-            self._emit(done, EV_ACK_TX, node_id, sender, {"len": ack_len})
-            self._send(done, node_id, sender, ack, ack_len)
+            self._emit(done, EV_ACK_TX, node_id, sender, {"len": ack.packet_len})
+            self._send(done, node_id, sender, ack)
 
     def _handle_mobility_tick(self, _node: int, now: float, _payload: None) -> None:
         cfg = self.config

@@ -114,6 +114,9 @@ class TestRunCommand:
          "sim.n_vehicles"),
         (f"sim.n_vehicles = 2\nsim.duration = 1\nsim.dh_bits = {MAX_MODULUS_BITS + 1}",
          "sim.dh_bits"),
+        # Few events, but one 2048-bit prime search per vehicle in set-up.
+        ("sim.n_vehicles = 16\nsim.dh_mode = per_node\nsim.dh_bits = 2048\n"
+         "sim.duration = 1e-6", "sim.dh_bits"),
     ])
     def test_endless_duration_exits_2(self, tmp_path, lines, key):
         # In a subprocess, so that a missing guard fails by timeout

@@ -6,23 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beaconkx.codec import PacketType, Position, decode_packet, encode_packet
+from beaconkx.codec import BeaconPacket, PacketType, Position, decode_packet, encode_packet
 from beaconkx.dh import MAX_MODULUS_BITS, DhParams
 from beaconkx.grid import cell_side
 from beaconkx.metrics import SAMPLE_PERIOD
 from beaconkx.protocol import DhMode, NeighborEntry, NodeConfig, NodeState, make_node
 from beaconkx.sim import (
+    MAX_PRIME_SEARCHES,
     MAX_SAMPLES,
     MAX_VEHICLES,
     ConfigError,
     CryptoCosts,
+    EventKind,
     Mobility,
     RouteOutcome,
     RouteProbe,
     SimConfig,
     Simulation,
     Vehicle,
-    deliver_in_range,
     ground_truth_neighbors,
     mobility_update,
     route_probe,
@@ -84,6 +85,18 @@ class TestConfigValidation:
     def test_upper_bounds_are_inclusive(self):
         SimConfig(n_vehicles=MAX_VEHICLES, duration=1e-6, dh_bits=MAX_MODULUS_BITS)
 
+    def test_set_up_bound_counts_one_prime_search_per_group(self):
+        # A 512-bit group weighs one search; a global group is one search
+        # however many vehicles share it.
+        per_node = dict(dh_mode=DhMode.PER_NODE_PARAMS, duration=1e-6)
+        SimConfig(n_vehicles=MAX_PRIME_SEARCHES, **per_node)
+        with pytest.raises(ConfigError, match="sim.dh_bits"):
+            SimConfig(n_vehicles=MAX_PRIME_SEARCHES + 1, **per_node)
+        SimConfig(n_vehicles=MAX_PRIME_SEARCHES + 1, duration=1e-6)
+        SimConfig(n_vehicles=15, dh_bits=MAX_MODULUS_BITS, **per_node)
+        with pytest.raises(ConfigError, match="sim.dh_bits"):
+            SimConfig(n_vehicles=16, dh_bits=MAX_MODULUS_BITS, **per_node)
+
 
 class TestNumericValidation:
     @pytest.mark.parametrize("kwargs, key", [
@@ -118,45 +131,6 @@ class TestDurationCap:
                               adaptive=True, interval_min=0.5)}):
             with pytest.raises(ConfigError, match="sim.duration"):
                 SimConfig(n_vehicles=1000, **overrides)
-
-
-class TestDeliverInRange:
-    POSITIONS = {1: Position(0.0, 0.0), 2: Position(100.0, 0.0),
-                 3: Position(300.0, 0.0)}
-
-    def test_beacon_reaches_only_nodes_in_range(self):
-        out = deliver_in_range(self.POSITIONS, 1, PacketType.BEACON, None,
-                               250.0, 0.0, random.Random(1))
-        assert out == [(2, True)]
-
-    def test_distance_equal_to_range_delivers(self):
-        positions = {1: Position(0.0, 0.0), 2: Position(250.0, 0.0)}
-        out = deliver_in_range(positions, 1, PacketType.BEACON, None,
-                               250.0, 0.0, random.Random(1))
-        assert out == [(2, True)]
-
-    def test_ack_reaches_only_addressee(self):
-        out = deliver_in_range(self.POSITIONS, 1, PacketType.ACK, 2,
-                               250.0, 0.0, random.Random(1))
-        assert out == [(2, True)]
-        out = deliver_in_range(self.POSITIONS, 1, PacketType.ACK, 3,
-                               250.0, 0.0, random.Random(1))
-        assert out == []
-
-    def test_loss_pattern_is_seed_deterministic(self):
-        positions = {i: Position(float(i), 0.0) for i in range(1, 30)}
-        first = deliver_in_range(positions, 1, PacketType.BEACON, None,
-                                 100.0, 0.5, random.Random(42))
-        second = deliver_in_range(positions, 1, PacketType.BEACON, None,
-                                  100.0, 0.5, random.Random(42))
-        assert first == second
-        assert any(delivered for _, delivered in first)
-        assert any(not delivered for _, delivered in first)
-
-    def test_total_loss_drops_everything(self):
-        out = deliver_in_range(self.POSITIONS, 1, PacketType.BEACON, None,
-                               250.0, 1.0, random.Random(1))
-        assert out == [(2, False)]
 
 
 class TestMobilityUpdate:
@@ -237,6 +211,40 @@ def brute_force_neighbors(positions, radio_range):
             for a in positions}
 
 
+def deliver_in_range(positions, sender, ptype, dest, radio_range, loss_rate, rng):
+    """The radio's test oracle: every node compared, nothing pruned.
+
+    Beacons reach every node within the closed disk except the sender;
+    ACKs reach only the addressed node, and only if it is in range. Each
+    candidate draws once against the loss stream, in node-id order.
+    """
+    origin = positions[sender]
+    if ptype is PacketType.BEACON:
+        candidates = [node_id for node_id in sorted(positions) if node_id != sender]
+    else:
+        candidates = [dest] if dest in positions and dest != sender else []
+    in_range = [node_id for node_id in candidates
+                if math.hypot(origin.x - positions[node_id].x,
+                              origin.y - positions[node_id].y) <= radio_range]
+    return [(node_id, rng.random() >= loss_rate) for node_id in in_range]
+
+
+def sent_to(sim, at, sender, dest=None, seed=7):
+    """Receivers of one ``_send`` at ``at`` with a loss stream seeded ``seed``,
+    in the order the deliveries were pushed; checks what was pushed."""
+    ptype = PacketType.BEACON if dest is None else PacketType.ACK
+    pkt = BeaconPacket(identifiant=sender, version=1, ptype=ptype,
+                       src_pos=Position(0.0, 0.0), public_value=b"\x05")
+    sim._heap.clear()
+    sim._rng_loss = random.Random(seed)
+    sim._send(at, sender, dest, pkt)
+    pushed = sorted(sim._heap, key=lambda event: event[3])
+    assert all(event[0] == at + sim.config.prop_delay
+               and event[1] == EventKind.PACKET_DELIVERY
+               and event[4] == (sender, pkt) for event in pushed)
+    return [event[2] for event in pushed]
+
+
 @st.composite
 def radio_scenes(draw):
     """A range and 1-8 points on cell corners, exactly one range apart,
@@ -274,7 +282,7 @@ class TestRadioView:
         at = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
         sim = Simulation(SimConfig(
             n_vehicles=count, placements=tuple(points), radio_range=radio_range,
-            duration=3.0, halts=halts, **FAST_DH))
+            duration=3.0, loss_rate=0.5, halts=halts, **FAST_DH))
         halted = {node_id for node_id, t in halts if at >= t}
         live = {node_id: Position(x, y) for node_id, (x, y) in enumerate(points, 1)
                 if node_id not in halted}
@@ -282,12 +290,12 @@ class TestRadioView:
             (PacketType.ACK, dest) for dest in range(1, count + 1)]
         for sender in live:
             for ptype, dest in sends:
-                view = sim._radio_view(at, sender, ptype, dest)
-                got = deliver_in_range(view, sender, ptype, dest, radio_range,
-                                       0.5, random.Random(7))
-                expected = deliver_in_range(live, sender, ptype, dest,
-                                            radio_range, 0.5, random.Random(7))
-                assert got == expected
+                got = sent_to(sim, at, sender, dest)
+                oracle_rng = random.Random(7)
+                expected = deliver_in_range(live, sender, ptype, dest, radio_range,
+                                            0.5, oracle_rng)
+                assert got == [node_id for node_id, delivered in expected if delivered]
+                assert sim._rng_loss.getstate() == oracle_rng.getstate()
 
     @settings(max_examples=150, deadline=None)
     @given(scene=radio_scenes())
@@ -297,26 +305,63 @@ class TestRadioView:
         assert ground_truth_neighbors(positions, radio_range) == \
             brute_force_neighbors(positions, radio_range)
 
+
+
+class TestSend:
+    def test_beacon_reaches_only_nodes_in_range(self):
+        sim = Simulation(line_config(100.0, 3, placements=(
+            (0.0, 0.0), (100.0, 0.0), (300.0, 0.0))))
+        assert sent_to(sim, 0.0, 1) == [2]
+
+    def test_distance_equal_to_range_delivers(self):
+        sim = Simulation(line_config(250.0, 2, radio_range=250.0))
+        assert sent_to(sim, 0.0, 1) == [2]
+        assert sent_to(sim, 0.0, 2) == [1]
+
+    def test_ack_reaches_only_addressee(self):
+        sim = Simulation(line_config(100.0, 3, placements=(
+            (0.0, 0.0), (100.0, 0.0), (300.0, 0.0))))
+        assert sent_to(sim, 0.0, 1, dest=2) == [2]
+        assert sent_to(sim, 0.0, 1, dest=3) == []
+        assert sent_to(sim, 0.0, 1, dest=1) == []
+
+    def test_loss_pattern_is_seed_deterministic(self):
+        cfg = line_config(1.0, 29, radio_range=100.0, loss_rate=0.5)
+        first = sent_to(Simulation(cfg), 0.0, 1, seed=42)
+        second = sent_to(Simulation(cfg), 0.0, 1, seed=42)
+        assert first == second
+        assert 0 < len(first) < 28
+
+    def test_total_loss_drops_everything(self):
+        sim = Simulation(line_config(100.0, 3, loss_rate=1.0, placements=(
+            (0.0, 0.0), (100.0, 0.0), (300.0, 0.0))))
+        assert sent_to(sim, 0.0, 1, seed=1) == []
+        one_draw = random.Random(1)
+        one_draw.random()
+        assert sim._rng_loss.getstate() == one_draw.getstate()
+
     def test_keys_past_exact_floor_range_fall_back_to_one_cell(self):
         # Near 2**51 cells, floor division gives these two points, half a
         # metre apart, keys two apart: only one cell keeps them together.
         cfg = SimConfig(n_vehicles=2, radio_range=0.7, **FAST_DH, placements=(
             (2931158588877325.0, 0.0), (2931158588877325.5, 0.0)))
-        view = Simulation(cfg)._radio_view(0.0, 1, PacketType.BEACON, None)
-        assert set(view) == {1, 2}
+        sim = Simulation(cfg)
+        assert sorted(sim._grid.block(1)) == [1, 2]
+        assert sent_to(sim, 0.0, 1) == [2]
         positions = {i + 1: Position(*xy) for i, xy in enumerate(cfg.placements)}
         assert ground_truth_neighbors(positions, 0.7) == {1: {2}, 2: {1}}
 
-    def test_beacon_view_skips_far_cells(self):
-        cfg = line_config(1000.0, 5, radio_range=250.0)
-        view = Simulation(cfg)._radio_view(0.0, 1, PacketType.BEACON, None)
-        assert set(view) == {1}
+    def test_beacon_skips_far_cells(self):
+        sim = Simulation(line_config(1000.0, 5, radio_range=250.0))
+        assert sim._grid.block(1) == [1]
+        assert sent_to(sim, 0.0, 1) == []
 
-    def test_ack_view_holds_sender_and_live_addressee(self):
+    def test_ack_goes_only_to_a_live_addressee(self):
         cfg = line_config(100.0, 4, duration=5.0, halts=((3, 1.0),))
         sim = Simulation(cfg)
-        assert set(sim._radio_view(0.5, 1, PacketType.ACK, 3)) == {1, 3}
-        assert set(sim._radio_view(1.0, 1, PacketType.ACK, 3)) == {1}
+        assert sent_to(sim, 0.5, 1, dest=3) == [3]
+        assert sent_to(sim, 1.0, 1, dest=3) == []
+        assert sent_to(sim, 1.0, 1) == [2]
 
 
 class TestTwoNodeRuns:
@@ -608,7 +653,7 @@ class TestPacketHandOver:
 
             monkeypatch.setattr(NodeState, name, recorded)
         trace, _ = run(TestSecretMemo.ALL_IN_RANGE)
-        assert "decode_packet" not in vars(sim)
+        assert "decode_packet" not in vars(sim) and "encode_packet" not in vars(sim)
         rx = [r for r in trace if r.ev in (EV_BEACON_RX, EV_ACK_RX)]
         assert len(rx) == len(received) > sum(r.ev in (EV_BEACON_TX, EV_ACK_TX) for r in trace)
         for record, (node_id, pkt) in zip(rx, received):
