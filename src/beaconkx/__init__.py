@@ -46,6 +46,7 @@ from .sim import (
     RouteResult,
     SimConfig,
     Simulation,
+    deliver_in_range,
     ground_truth_neighbors,
     mobility_update,
     route_probe,
@@ -62,8 +63,8 @@ __all__ = [
     "Metrics", "compute_metrics",
     "DhMode", "NeighborEntry", "NodeConfig", "NodeState", "make_node",
     "ConfigError", "CryptoCosts", "Mobility", "RouteOutcome", "RouteProbe",
-    "RouteResult", "SimConfig", "Simulation", "ground_truth_neighbors",
-    "mobility_update", "route_probe", "run",
+    "RouteResult", "SimConfig", "Simulation", "deliver_in_range",
+    "ground_truth_neighbors", "mobility_update", "route_probe", "run",
     "Trace", "TraceRecord",
 ]
 

@@ -256,7 +256,31 @@ class Vehicle:
 
 
 # ----------------------------------------------------------------------
-# mobility and oracle primitives
+# radio, mobility and oracle primitives
+
+
+def deliver_in_range(positions: Mapping[int, Position], sender: int,
+                     ptype: PacketType, dest: int | None, radio_range: float,
+                     loss_rate: float, rng: random.Random) -> list[tuple[int, bool]]:
+    """Candidate receivers of one transmission, with per-candidate loss.
+
+    Beacons reach every node within the closed disk except the sender;
+    ACKs reach only the addressed node, and only if it is in range.
+    Candidates are drawn against the loss stream in node-id order so the
+    drop pattern is a pure function of the rng state.
+    """
+    origin = positions[sender]
+    if ptype is PacketType.BEACON:
+        candidates = [
+            node_id for node_id in sorted(positions)
+            if node_id != sender and distance(origin, positions[node_id]) <= radio_range
+        ]
+    else:
+        candidates = []
+        if dest is not None and dest in positions and dest != sender:
+            if distance(origin, positions[dest]) <= radio_range:
+                candidates.append(dest)
+    return [(node_id, rng.random() >= loss_rate) for node_id in candidates]
 
 
 def mobility_update(vehicle: Vehicle, dt: float, area: tuple[float, float],
@@ -450,25 +474,21 @@ class Simulation:
 
     def _send(self, now: float, sender: int, dest: int | None,
               pkt: BeaconPacket) -> None:
-        """Deliver ``pkt`` to every node live at ``now`` within the closed
-        disk of ``radio_range`` around the sender.
-
-        A beacon's candidates are the nodes of the sender's 3 x 3 cell
-        block, an ACK's its addressee ``dest``. Each candidate in range
-        draws once from the loss stream, in node-id order, so the drop
-        pattern is a pure function of that stream's state.
-        """
+        """Hand ``pkt`` to ``deliver_in_range`` with the sender and every
+        node live at ``now`` that could hear it: the nodes of the sender's
+        3 x 3 cell block for a beacon, the addressee ``dest`` for an ACK."""
         cfg = self.config
         nodes = self.nodes
-        origin = nodes[sender].own_position
-        candidates = (sorted(self._grid.block(sender))
-                      if pkt.ptype is PacketType.BEACON else (dest,))
+        ptype = pkt.ptype
+        nearby = self._grid.block(sender) if ptype is PacketType.BEACON else (dest,)
+        view = {node_id: nodes[node_id].own_position for node_id in nearby
+                if not self._halted(node_id, now)}
+        view[sender] = nodes[sender].own_position
         payload = (sender, pkt)
-        for node_id in candidates:
-            if (node_id != sender and not self._halted(node_id, now)
-                    and distance(origin, nodes[node_id].own_position) <= cfg.radio_range
-                    and self._rng_loss.random() >= cfg.loss_rate):
-                self._push(now + cfg.prop_delay, EventKind.PACKET_DELIVERY, node_id, payload)
+        for recipient, delivered in deliver_in_range(
+                view, sender, ptype, dest, cfg.radio_range, cfg.loss_rate, self._rng_loss):
+            if delivered:
+                self._push(now + cfg.prop_delay, EventKind.PACKET_DELIVERY, recipient, payload)
 
     def _handle_delivery(self, node_id: int, now: float, payload: object) -> None:
         if self._halted(node_id, now):

@@ -24,6 +24,7 @@ from beaconkx.sim import (
     SimConfig,
     Simulation,
     Vehicle,
+    deliver_in_range,
     ground_truth_neighbors,
     mobility_update,
     route_probe,
@@ -133,6 +134,45 @@ class TestDurationCap:
                 SimConfig(n_vehicles=1000, **overrides)
 
 
+class TestDeliverInRange:
+    POSITIONS = {1: Position(0.0, 0.0), 2: Position(100.0, 0.0),
+                 3: Position(300.0, 0.0)}
+
+    def test_beacon_reaches_only_nodes_in_range(self):
+        out = deliver_in_range(self.POSITIONS, 1, PacketType.BEACON, None,
+                               250.0, 0.0, random.Random(1))
+        assert out == [(2, True)]
+
+    def test_distance_equal_to_range_delivers(self):
+        positions = {1: Position(0.0, 0.0), 2: Position(250.0, 0.0)}
+        out = deliver_in_range(positions, 1, PacketType.BEACON, None,
+                               250.0, 0.0, random.Random(1))
+        assert out == [(2, True)]
+
+    def test_ack_reaches_only_addressee(self):
+        out = deliver_in_range(self.POSITIONS, 1, PacketType.ACK, 2,
+                               250.0, 0.0, random.Random(1))
+        assert out == [(2, True)]
+        out = deliver_in_range(self.POSITIONS, 1, PacketType.ACK, 3,
+                               250.0, 0.0, random.Random(1))
+        assert out == []
+
+    def test_loss_pattern_is_seed_deterministic(self):
+        positions = {i: Position(float(i), 0.0) for i in range(1, 30)}
+        first = deliver_in_range(positions, 1, PacketType.BEACON, None,
+                                 100.0, 0.5, random.Random(42))
+        second = deliver_in_range(positions, 1, PacketType.BEACON, None,
+                                  100.0, 0.5, random.Random(42))
+        assert first == second
+        assert any(delivered for _, delivered in first)
+        assert any(not delivered for _, delivered in first)
+
+    def test_total_loss_drops_everything(self):
+        out = deliver_in_range(self.POSITIONS, 1, PacketType.BEACON, None,
+                               250.0, 1.0, random.Random(1))
+        assert out == [(2, False)]
+
+
 class TestMobilityUpdate:
     AREA = (1000.0, 1000.0)
 
@@ -211,24 +251,6 @@ def brute_force_neighbors(positions, radio_range):
             for a in positions}
 
 
-def deliver_in_range(positions, sender, ptype, dest, radio_range, loss_rate, rng):
-    """The radio's test oracle: every node compared, nothing pruned.
-
-    Beacons reach every node within the closed disk except the sender;
-    ACKs reach only the addressed node, and only if it is in range. Each
-    candidate draws once against the loss stream, in node-id order.
-    """
-    origin = positions[sender]
-    if ptype is PacketType.BEACON:
-        candidates = [node_id for node_id in sorted(positions) if node_id != sender]
-    else:
-        candidates = [dest] if dest in positions and dest != sender else []
-    in_range = [node_id for node_id in candidates
-                if math.hypot(origin.x - positions[node_id].x,
-                              origin.y - positions[node_id].y) <= radio_range]
-    return [(node_id, rng.random() >= loss_rate) for node_id in in_range]
-
-
 def sent_to(sim, at, sender, dest=None, seed=7):
     """Receivers of one ``_send`` at ``at`` with a loss stream seeded ``seed``,
     in the order the deliveries were pushed; checks what was pushed."""
@@ -304,7 +326,6 @@ class TestRadioView:
         positions = {node_id: Position(x, y) for node_id, (x, y) in enumerate(points, 1)}
         assert ground_truth_neighbors(positions, radio_range) == \
             brute_force_neighbors(positions, radio_range)
-
 
 
 class TestSend:

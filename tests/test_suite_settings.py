@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 FAILING_PROPERTY = """
@@ -19,6 +21,9 @@ def test_fails(n):
 def test_failing_property_is_reported_as_one_failure(tmp_path):
     # With every warning an error, the import Hypothesis makes to report
     # a falsifying example used to abort the whole run as an INTERNALERROR.
+    # That import is of libcst, whose own import raised the warning; where
+    # libcst is not installed there is nothing to check.
+    pytest.importorskip("libcst")
     (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
