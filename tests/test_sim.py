@@ -327,40 +327,6 @@ class TestRadioView:
         assert ground_truth_neighbors(positions, radio_range) == \
             brute_force_neighbors(positions, radio_range)
 
-
-class TestSend:
-    def test_beacon_reaches_only_nodes_in_range(self):
-        sim = Simulation(line_config(100.0, 3, placements=(
-            (0.0, 0.0), (100.0, 0.0), (300.0, 0.0))))
-        assert sent_to(sim, 0.0, 1) == [2]
-
-    def test_distance_equal_to_range_delivers(self):
-        sim = Simulation(line_config(250.0, 2, radio_range=250.0))
-        assert sent_to(sim, 0.0, 1) == [2]
-        assert sent_to(sim, 0.0, 2) == [1]
-
-    def test_ack_reaches_only_addressee(self):
-        sim = Simulation(line_config(100.0, 3, placements=(
-            (0.0, 0.0), (100.0, 0.0), (300.0, 0.0))))
-        assert sent_to(sim, 0.0, 1, dest=2) == [2]
-        assert sent_to(sim, 0.0, 1, dest=3) == []
-        assert sent_to(sim, 0.0, 1, dest=1) == []
-
-    def test_loss_pattern_is_seed_deterministic(self):
-        cfg = line_config(1.0, 29, radio_range=100.0, loss_rate=0.5)
-        first = sent_to(Simulation(cfg), 0.0, 1, seed=42)
-        second = sent_to(Simulation(cfg), 0.0, 1, seed=42)
-        assert first == second
-        assert 0 < len(first) < 28
-
-    def test_total_loss_drops_everything(self):
-        sim = Simulation(line_config(100.0, 3, loss_rate=1.0, placements=(
-            (0.0, 0.0), (100.0, 0.0), (300.0, 0.0))))
-        assert sent_to(sim, 0.0, 1, seed=1) == []
-        one_draw = random.Random(1)
-        one_draw.random()
-        assert sim._rng_loss.getstate() == one_draw.getstate()
-
     def test_keys_past_exact_floor_range_fall_back_to_one_cell(self):
         # Near 2**51 cells, floor division gives these two points, half a
         # metre apart, keys two apart: only one cell keeps them together.
@@ -372,12 +338,12 @@ class TestSend:
         positions = {i + 1: Position(*xy) for i, xy in enumerate(cfg.placements)}
         assert ground_truth_neighbors(positions, 0.7) == {1: {2}, 2: {1}}
 
-    def test_beacon_skips_far_cells(self):
+    def test_beacon_view_skips_far_cells(self):
         sim = Simulation(line_config(1000.0, 5, radio_range=250.0))
         assert sim._grid.block(1) == [1]
         assert sent_to(sim, 0.0, 1) == []
 
-    def test_ack_goes_only_to_a_live_addressee(self):
+    def test_ack_view_holds_sender_and_live_addressee(self):
         cfg = line_config(100.0, 4, duration=5.0, halts=((3, 1.0),))
         sim = Simulation(cfg)
         assert sent_to(sim, 0.5, 1, dest=3) == [3]
