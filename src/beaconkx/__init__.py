@@ -47,7 +47,6 @@ from .sim import (
     SimConfig,
     Simulation,
     deliver_in_range,
-    ground_truth_neighbors,
     mobility_update,
     route_probe,
     run,
@@ -64,7 +63,7 @@ __all__ = [
     "DhMode", "NeighborEntry", "NodeConfig", "NodeState", "make_node",
     "ConfigError", "CryptoCosts", "Mobility", "RouteOutcome", "RouteProbe",
     "RouteResult", "SimConfig", "Simulation", "deliver_in_range",
-    "ground_truth_neighbors", "mobility_update", "route_probe", "run",
+    "mobility_update", "route_probe", "run",
     "Trace", "TraceRecord",
 ]
 

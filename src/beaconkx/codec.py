@@ -23,8 +23,8 @@ prefixed by a 2-octet length, so a receiver with different parameters
 can respond in the sender's group.
 
 Decoding is total over arbitrary input: it either returns the unique
-packet whose encoding is the buffer, or raises a :class:`DecodeError`
-subclass. It never reads past the buffer.
+packet whose encoding is the buffer, or raises :class:`DecodeError`,
+whose message gives the reason. It never reads past the buffer.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ SUPPORTED_VERSIONS = (VERSION_SINGLE, VERSION_PARAM_TRIPLE)
 
 _HEADER = struct.Struct(">IBBHffH")
 
+# Largest finite IEEE-754 single: a coordinate past it has no encoding.
+MAX_SINGLE = struct.unpack(">f", b"\x7f\x7f\xff\xff")[0]
+
 
 class PacketType(IntEnum):
     BEACON = 1
@@ -59,30 +62,6 @@ class EncodeError(CodecError):
 
 class DecodeError(CodecError):
     """Buffer is not the encoding of any valid packet."""
-
-
-class TruncatedHeaderError(DecodeError):
-    """Fewer than the 18 header octets present."""
-
-
-class LengthMismatchError(DecodeError):
-    """packet_len field disagrees with the buffer length."""
-
-
-class UnknownVersionError(DecodeError):
-    """Version octet outside the supported set; reject, don't ignore."""
-
-
-class UnknownTypeError(DecodeError):
-    """Type octet is neither BEACON nor ACK."""
-
-
-class TruncatedPayloadError(DecodeError):
-    """pv_len inconsistent with the octets remaining after the header."""
-
-
-class NonCanonicalValueError(DecodeError):
-    """public_value is not in canonical magnitude (or triple) form."""
 
 
 @dataclass(frozen=True)
@@ -128,9 +107,9 @@ def int_to_magnitude(value: int) -> bytes:
 def magnitude_to_int(buf: bytes) -> int:
     """Inverse of :func:`int_to_magnitude`; rejects non-canonical input."""
     if len(buf) == 0:
-        raise NonCanonicalValueError("magnitude must be at least one octet")
+        raise DecodeError("magnitude must be at least one octet")
     if len(buf) > 1 and buf[0] == 0:
-        raise NonCanonicalValueError("magnitude has a leading zero octet")
+        raise DecodeError("magnitude has a leading zero octet")
     return int.from_bytes(buf, "big")
 
 
@@ -152,15 +131,15 @@ def decode_param_triple(buf: bytes) -> tuple[int, int, int]:
     offset = 0
     for _ in range(3):
         if offset + 2 > len(buf):
-            raise TruncatedPayloadError("parameter triple truncated")
+            raise DecodeError("parameter triple truncated")
         (length,) = struct.unpack_from(">H", buf, offset)
         offset += 2
         if offset + length > len(buf):
-            raise TruncatedPayloadError("parameter triple truncated")
+            raise DecodeError("parameter triple truncated")
         values.append(magnitude_to_int(buf[offset:offset + length]))
         offset += length
     if offset != len(buf):
-        raise NonCanonicalValueError("trailing octets after parameter triple")
+        raise DecodeError("trailing octets after parameter triple")
     return values[0], values[1], values[2]
 
 
@@ -172,9 +151,9 @@ def _payload_is_triple(version: int, ptype: int) -> bool:
 
 def _check_payload(version: int, ptype: int, public_value: bytes) -> None:
     if len(public_value) == 0:
-        raise NonCanonicalValueError("public_value must be at least one octet")
+        raise DecodeError("public_value must be at least one octet")
     if len(public_value) > MAX_PUBLIC_VALUE_LEN:
-        raise NonCanonicalValueError(
+        raise DecodeError(
             f"public_value longer than {MAX_PUBLIC_VALUE_LEN} octets")
     if _payload_is_triple(version, ptype):
         decode_param_triple(public_value)
@@ -186,9 +165,10 @@ def encode_packet(pkt: BeaconPacket) -> bytes:
     """Serialize a packet; pure function of its fields.
 
     Raises:
-        EncodeError: on any invariant violation (non-finite position,
-            out-of-range identifier, unknown version/type, or a payload
-            that does not match the packet's declared format).
+        EncodeError: on any invariant violation (a position coordinate
+            past ``MAX_SINGLE`` in magnitude or not finite, out-of-range
+            identifier, unknown version/type, or a payload that does not
+            match the packet's declared format).
     """
     if not 0 <= pkt.identifiant <= 0xFFFFFFFF:
         raise EncodeError(f"identifiant out of 32-bit range: {pkt.identifiant}")
@@ -196,8 +176,9 @@ def encode_packet(pkt: BeaconPacket) -> bytes:
         raise EncodeError(f"unsupported version {pkt.version}")
     if pkt.ptype not in (PacketType.BEACON, PacketType.ACK):
         raise EncodeError(f"unknown packet type {pkt.ptype}")
-    if not (math.isfinite(pkt.src_pos.x) and math.isfinite(pkt.src_pos.y)):
-        raise EncodeError(f"position must be finite, got {pkt.src_pos}")
+    if not (abs(pkt.src_pos.x) <= MAX_SINGLE and abs(pkt.src_pos.y) <= MAX_SINGLE):
+        raise EncodeError(f"position must be finite and within {MAX_SINGLE!r}, "
+                          f"got {pkt.src_pos}")
     try:
         _check_payload(pkt.version, pkt.ptype, pkt.public_value)
     except DecodeError as exc:
@@ -211,23 +192,23 @@ def encode_packet(pkt: BeaconPacket) -> bytes:
 def decode_packet(buf: bytes) -> BeaconPacket:
     """Parse a received buffer into a packet, or raise a DecodeError."""
     if len(buf) < HEADER_LEN:
-        raise TruncatedHeaderError(
+        raise DecodeError(
             f"need {HEADER_LEN} header octets, got {len(buf)}")
     identifiant, version, ptype, packet_len, x, y, pv_len = _HEADER.unpack_from(buf)
     if packet_len != len(buf):
-        raise LengthMismatchError(
+        raise DecodeError(
             f"packet_len says {packet_len} octets, buffer has {len(buf)}")
     if version not in SUPPORTED_VERSIONS:
-        raise UnknownVersionError(f"unsupported version {version}")
+        raise DecodeError(f"unsupported version {version}")
     if ptype not in (PacketType.BEACON.value, PacketType.ACK.value):
-        raise UnknownTypeError(f"unknown packet type {ptype}")
+        raise DecodeError(f"unknown packet type {ptype}")
     if pv_len != len(buf) - HEADER_LEN:
-        raise TruncatedPayloadError(
+        raise DecodeError(
             f"pv_len says {pv_len} octets, {len(buf) - HEADER_LEN} remain")
     if not (math.isfinite(x) and math.isfinite(y)):
         # Not the encoding of any valid packet (encode refuses non-finite
         # positions), so re-encodability would break if this were accepted.
-        raise NonCanonicalValueError("non-finite position coordinate")
+        raise DecodeError("non-finite position coordinate")
     public_value = buf[HEADER_LEN:]
     _check_payload(version, ptype, public_value)
     return BeaconPacket(

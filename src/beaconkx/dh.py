@@ -93,8 +93,7 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     return pow(base, exponent, modulus)
 
 
-def is_probable_prime(n: int, rounds: int = DEFAULT_PRIMALITY_ROUNDS,
-                      rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int, rounds: int, rng: random.Random) -> bool:
     """Miller-Rabin primality test with ``rounds`` random witnesses.
 
     Always true for primes; false for composites except with probability
@@ -109,8 +108,6 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_PRIMALITY_ROUNDS,
             return True
         if n % q == 0:
             return False
-    if rng is None:
-        rng = random.Random()
 
     # n - 1 = 2^r * d with d odd
     d = n - 1
@@ -133,8 +130,7 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_PRIMALITY_ROUNDS,
     return True
 
 
-def generate_dh_params(bit_length: int, rng: random.Random,
-                       rounds: int = DEFAULT_PRIMALITY_ROUNDS) -> DhParams:
+def generate_dh_params(bit_length: int, rng: random.Random) -> DhParams:
     """Draw a random prime ``p`` of exactly ``bit_length`` bits and a base.
 
     The base is chosen uniformly in ``[2, p-2]``; verifying it generates
@@ -152,7 +148,7 @@ def generate_dh_params(bit_length: int, rng: random.Random,
     while True:
         # Force the top bit (exact bit length) and the low bit (odd).
         candidate = rng.getrandbits(bit_length) | (1 << (bit_length - 1)) | 1
-        if is_probable_prime(candidate, rounds, rng):
+        if is_probable_prime(candidate, DEFAULT_PRIMALITY_ROUNDS, rng):
             p = candidate
             break
     w = rng.randrange(2, p - 1)

@@ -45,14 +45,14 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from operator import attrgetter
 from typing import Mapping
 
-from .codec import BeaconPacket, PacketType, Position
+from .codec import MAX_SINGLE, BeaconPacket, PacketType, Position
 from .dh import MAX_MODULUS_BITS, MIN_MODULUS_BITS, generate_dh_params
-from .grid import CellGrid, pairs_in_range
+from .grid import CellGrid
 from .metrics import SAMPLE_PERIOD, Metrics, compute_metrics
 from .protocol import (ConfigError, DhMode, NodeConfig, NodeState, SecretMemo,
                        _check_number, distance, make_node)
@@ -179,8 +179,11 @@ class SimConfig:
             raise ConfigError(
                 f"sim.dh_bits {self.dh_bits} in {groups} groups needs set-up worth "
                 f"{searches:.0f} 512-bit prime searches, more than {MAX_PRIME_SEARCHES}")
-        _check_number("sim.area_width", self.area[0], positive=True)
-        _check_number("sim.area_height", self.area[1], positive=True)
+        for key, side in zip(("sim.area_width", "sim.area_height"), self.area):
+            _check_number(key, side, positive=True)
+            if side > MAX_SINGLE:
+                raise ConfigError(f"{key} must not exceed the largest single, "
+                                  f"{MAX_SINGLE!r}, got {side!r}")
         _check_number("sim.radio_range", self.radio_range, positive=True)
         _check_number("sim.duration", self.duration, positive=True)
         if self.duration / SAMPLE_PERIOD > MAX_SAMPLES:
@@ -216,8 +219,9 @@ class SimConfig:
                 raise ConfigError(
                     f"sim.placements has {len(self.placements)} entries for "
                     f"{self.n_vehicles} vehicles")
-            if not all(map(math.isfinite, (c for xy in self.placements for c in xy))):
-                raise ConfigError("sim.placements must be finite")
+            if not all(abs(c) <= MAX_SINGLE for xy in self.placements for c in xy):
+                raise ConfigError("sim.placements must be finite and within "
+                                  f"the largest single, {MAX_SINGLE!r}")
             width, height = self.area
             if moving and not all(0 <= x <= width and 0 <= y <= height
                                   for x, y in self.placements):
@@ -242,7 +246,6 @@ class SimConfig:
 
 @dataclass
 class Vehicle:
-    node_id: int
     x: float
     y: float
     vx: float = 0.0
@@ -256,7 +259,7 @@ class Vehicle:
 
 
 # ----------------------------------------------------------------------
-# radio, mobility and oracle primitives
+# radio, mobility and routing primitives
 
 
 def deliver_in_range(positions: Mapping[int, Position], sender: int,
@@ -329,17 +332,6 @@ def mobility_update(vehicle: Vehicle, dt: float, area: tuple[float, float],
             vehicle.y += (wy - vehicle.y) / remaining * step
 
 
-def ground_truth_neighbors(positions: Mapping[int, Position],
-                           radio_range: float) -> dict[int, set[int]]:
-    """Symmetric geometric adjacency: the oracle the protocol chases."""
-    adjacency: dict[int, set[int]] = {node_id: set() for node_id in positions}
-    points = {node_id: (pos.x, pos.y) for node_id, pos in positions.items()}
-    for a, b in pairs_in_range(points, radio_range):
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    return adjacency
-
-
 def route_probe(nodes: Mapping[int, NodeState], src: int, dest: Position,
                 max_hops: int) -> RouteResult:
     """Walk greedy forwarding from ``src`` over the nodes' live tables.
@@ -402,7 +394,7 @@ class Simulation:
                 x, y = cfg.placements[node_id - 1]
             else:
                 x, y = rng_place.uniform(0, width), rng_place.uniform(0, height)
-            vehicle = Vehicle(node_id=node_id, x=x, y=y)
+            vehicle = Vehicle(x, y)
             if cfg.mobility is Mobility.CONSTANT_VELOCITY:
                 speed = rng_place.uniform(*cfg.speed_range)
                 angle = rng_place.uniform(0, 2 * math.pi)
@@ -561,12 +553,3 @@ def run(config: SimConfig) -> tuple[Trace, Metrics]:
     """Simulate ``config`` to completion; pure function of the config."""
     return Simulation(config).run()
 
-
-def two_node_config(separation: float, **overrides) -> SimConfig:
-    """Convenience: two static vehicles ``separation`` meters apart."""
-    base = SimConfig(
-        n_vehicles=2,
-        placements=((100.0, 100.0), (100.0 + separation, 100.0)),
-        speed_range=(0.0, 0.0),
-    )
-    return replace(base, **overrides)

@@ -26,6 +26,9 @@ EV_ROUTE_HOP = "route_hop"
 EV_ROUTE_LOCAL_MAX = "route_local_max"
 
 _TRANSMISSIONS = (EV_BEACON_TX, EV_ACK_TX)
+# Events about a pair of nodes: their ``peer`` is never null.
+_PEERED = frozenset((EV_BEACON_RX, EV_ACK_TX, EV_ACK_RX, EV_KEY_ESTABLISHED,
+                     EV_NEIGHBOR_EXPIRED, EV_ROUTE_HOP))
 
 
 class TraceFormatError(ValueError):
@@ -104,7 +107,9 @@ class Trace:
         """Parse ``to_jsonl`` text; blank lines are skipped.
 
         Each line must hold a record of the types ``to_jsonl`` writes:
-        ``node`` and ``peer`` JSON integers (``peer`` may be null), ``t``
+        ``node`` and ``peer`` JSON integers (``peer`` may be null except on
+        the events about a pair: ``beacon_rx``, ``ack_tx``, ``ack_rx``,
+        ``key_established``, ``neighbor_expired`` and ``route_hop``), ``t``
         and both ``pos`` coordinates finite numbers, ``ev`` a string and
         ``extra`` an object; a transmission's ``extra`` holds the integer
         ``len`` the metrics replay sums. Anything else, or a time earlier
@@ -125,7 +130,8 @@ class Trace:
                     obj["t"], obj["ev"], obj["node"], obj["peer"], obj["pos"], obj["extra"])
                 if type(ev) is not str:
                     raise ValueError(f"ev {ev!r} is not a string")
-                if type(node) is not int or (peer is not None and type(peer) is not int):
+                if type(node) is not int or (
+                        type(peer) is not int and (peer is not None or ev in _PEERED)):
                     raise ValueError(f"node {node!r} or peer {peer!r} is not an integer")
                 if type(pos) is not list or len(pos) != 2:
                     raise ValueError(f"pos {pos!r} is not two coordinates")

@@ -34,6 +34,7 @@ from beaconkx.dh import (
     keypair_from_private,
     mod_exp,
 )
+from beaconkx.grid import pairs_in_range
 from beaconkx.protocol import (
     DhMode,
     NeighborEntry,
@@ -45,7 +46,6 @@ from beaconkx.sim import (
     RouteOutcome,
     RouteProbe,
     SimConfig,
-    ground_truth_neighbors,
     route_probe,
     run,
 )
@@ -201,11 +201,12 @@ def test_criterion_6_expiry_after_halt():
     interval = 1.0
     cfg = SimConfig(duration=12.0, halts=((halt_node, halt_t),),
                     **CONVERGENCE_SCENE)
-    # Which peers are in range of the halted node? Brute-force geometry.
+    # Which peers are in range of the halted node?
     from beaconkx.sim import Simulation
     sim = Simulation(cfg)
-    positions = {i: v.position for i, v in sim.vehicles.items()}
-    in_range = ground_truth_neighbors(positions, cfg.radio_range)[halt_node]
+    points = {i: (v.x, v.y) for i, v in sim.vehicles.items()}
+    in_range = {b if a == halt_node else a
+                for a, b in pairs_in_range(points, cfg.radio_range) if halt_node in (a, b)}
     assert in_range, "scene must give the halted node at least one neighbor"
 
     trace, _ = sim.run()
@@ -288,17 +289,17 @@ def _oracle_next_hop(own_pos, table, dest):
 def _static_nodes(positions, radio_range):
     params = DhParams(p=23, w=5)
     keypair = keypair_from_private(params, 6)
-    adjacency = ground_truth_neighbors(positions, radio_range)
-    nodes = {}
-    for node_id, pos in positions.items():
-        state = NodeState(node_id=node_id, own_position=pos,
-                          config=NodeConfig(), dh_mode=DhMode.GLOBAL_PARAMS,
-                          dh_params=params, keypair=keypair,
-                          rng=random.Random(node_id))
-        for peer in adjacency[node_id]:
-            state.neighbors[peer] = NeighborEntry(
+    nodes = {
+        node_id: NodeState(node_id=node_id, own_position=pos,
+                           config=NodeConfig(), dh_mode=DhMode.GLOBAL_PARAMS,
+                           dh_params=params, keypair=keypair,
+                           rng=random.Random(node_id))
+        for node_id, pos in positions.items()}
+    points = {node_id: (pos.x, pos.y) for node_id, pos in positions.items()}
+    for a, b in pairs_in_range(points, radio_range):
+        for node_id, peer in ((a, b), (b, a)):
+            nodes[node_id].neighbors[peer] = NeighborEntry(
                 peer, positions[peer], last_seen=0.0, key=b"\x00" * 16)
-        nodes[node_id] = state
     return nodes
 
 

@@ -86,6 +86,11 @@ class TestRunCommand:
         ("sim.speed_max = 1e308", "sim.speed_max"),
         ("sim.speed_max = 1\nsim.area_width = 1e-300", "sim.speed_max"),
         ("sim.speed_max = 1\nsim.placements = 1e300,0; 0,0", "sim.placements"),
+        # coordinates past the largest single have no encoding
+        ("sim.placements = 1e300,0; 0,0", "sim.placements"),
+        ("sim.placements = 0,-3.4028235677973366e38; 0,0", "sim.placements"),
+        ("sim.area_width = 1e39\nsim.area_height = 1e39", "sim.area_width"),
+        ("sim.area_height = 3.4028235677973366e38", "sim.area_height"),
         ("node.beacon_interval = 0", "node.beacon_interval"),
         ("node.expiry_multiplier = 1", "node.expiry_multiplier"),
         ("node.target_degree = 0", "node.target_degree"),
@@ -220,6 +225,8 @@ class TestMetricsCommand:
         '{"t": 1.0, "ev": "beacon_rx", "node": 1, "peer": 2, '
         '"pos": [NaN, 0.0], "extra": {}}',
         '{"t": 1.0, "ev": 7, "node": 1, "peer": 2, '
+        '"pos": [0.0, 0.0], "extra": {}}',
+        '{"t": 1.0, "ev": "key_established", "node": 1, "peer": null, '
         '"pos": [0.0, 0.0], "extra": {}}',
     ])
     def test_malformed_line_exits_2_naming_it(self, saved_run, capsys, bad_line):

@@ -143,6 +143,10 @@ def _items(sep: str, *fields):
 
 
 SMALL = st.floats(0.0, 600.0).map(repr)
+# Sides and coordinates reach past 3.4028234663852886e38, the largest
+# single, which no beacon can carry.
+WIDE = st.one_of(SMALL, st.sampled_from(["3.4028234663852886e38", "3.4028235677973366e38",
+                                          "-3.4028235677973366e38", "1e300"]))
 # Values of the right shape for the keys that are not plain numbers.
 SHAPED = {
     "sim.seed": st.integers().map(str),
@@ -151,7 +155,9 @@ SHAPED = {
     "sim.crypto_costs": st.sampled_from(["true", "off", "yes", "0"]),
     "sim.mobility": st.sampled_from(["constant_velocity", "random_waypoint"]),
     "sim.dh_mode": st.sampled_from(["global", "per_node"]),
-    "sim.placements": _items(",", SMALL, SMALL),
+    "sim.area_width": WIDE,
+    "sim.area_height": WIDE,
+    "sim.placements": _items(",", WIDE, WIDE),
     "sim.halts": _items(":", st.integers(0, 5), SMALL),
     "sim.probes": _items(":", SMALL, st.integers(0, 5), SMALL, SMALL),
 }

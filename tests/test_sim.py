@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from beaconkx.codec import BeaconPacket, PacketType, Position, decode_packet, encode_packet
 from beaconkx.dh import MAX_MODULUS_BITS, DhParams
-from beaconkx.grid import cell_side
+from beaconkx.grid import cell_side, pairs_in_range
 from beaconkx.metrics import SAMPLE_PERIOD
 from beaconkx.protocol import DhMode, NeighborEntry, NodeConfig, NodeState, make_node
 from beaconkx.sim import (
@@ -25,11 +25,9 @@ from beaconkx.sim import (
     Simulation,
     Vehicle,
     deliver_in_range,
-    ground_truth_neighbors,
     mobility_update,
     route_probe,
     run,
-    two_node_config,
 )
 from beaconkx.trace import (
     EV_ACK_RX,
@@ -79,7 +77,7 @@ class TestConfigValidation:
             run(SimConfig(n_vehicles=0))
 
     def test_replace_checks_the_copy(self):
-        valid = two_node_config(100.0)
+        valid = line_config(100.0, 2)
         with pytest.raises(ConfigError, match="sim.n_vehicles"):
             replace(valid, n_vehicles=0)
 
@@ -177,33 +175,33 @@ class TestMobilityUpdate:
     AREA = (1000.0, 1000.0)
 
     def test_linear_motion(self):
-        v = Vehicle(1, 0.0, 0.0, vx=10.0, vy=0.0)
+        v = Vehicle(0.0, 0.0, vx=10.0, vy=0.0)
         mobility_update(v, 1.0, self.AREA, Mobility.CONSTANT_VELOCITY,
                         (0.0, 0.0), random.Random(1))
         assert (v.x, v.y) == (10.0, 0.0)
 
     def test_reflection_at_border(self):
-        v = Vehicle(1, 995.0, 0.0, vx=10.0, vy=0.0)
+        v = Vehicle(995.0, 0.0, vx=10.0, vy=0.0)
         mobility_update(v, 1.0, self.AREA, Mobility.CONSTANT_VELOCITY,
                         (0.0, 0.0), random.Random(1))
         assert v.x == pytest.approx(995.0)  # 1005 reflects to 2*1000 - 1005
         assert v.vx == -10.0
 
     def test_reflection_at_zero(self):
-        v = Vehicle(1, 3.0, 0.0, vx=-10.0, vy=0.0)
+        v = Vehicle(3.0, 0.0, vx=-10.0, vy=0.0)
         mobility_update(v, 1.0, self.AREA, Mobility.CONSTANT_VELOCITY,
                         (0.0, 0.0), random.Random(1))
         assert v.x == pytest.approx(7.0)
         assert v.vx == 10.0
 
     def test_zero_velocity_fixed_point(self):
-        v = Vehicle(1, 5.0, 6.0)
+        v = Vehicle(5.0, 6.0)
         mobility_update(v, 1.0, self.AREA, Mobility.CONSTANT_VELOCITY,
                         (0.0, 0.0), random.Random(1))
         assert (v.x, v.y) == (5.0, 6.0)
 
     def test_waypoint_walk_stays_in_bounds(self):
-        v = Vehicle(1, 500.0, 500.0)
+        v = Vehicle(500.0, 500.0)
         rng = random.Random(9)
         for _ in range(500):
             mobility_update(v, 0.1, self.AREA, Mobility.RANDOM_WAYPOINT,
@@ -212,7 +210,7 @@ class TestMobilityUpdate:
             assert 0.0 <= v.y <= 1000.0
 
     def test_waypoint_redraws_on_arrival(self):
-        v = Vehicle(1, 0.0, 0.0, waypoint=(1.0, 0.0), speed=100.0)
+        v = Vehicle(0.0, 0.0, waypoint=(1.0, 0.0), speed=100.0)
         mobility_update(v, 1.0, self.AREA, Mobility.RANDOM_WAYPOINT,
                         (5.0, 10.0), random.Random(2))
         assert (v.x, v.y) == (1.0, 0.0)
@@ -221,26 +219,23 @@ class TestMobilityUpdate:
 
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError):
-            mobility_update(Vehicle(1, 0.0, 0.0), 0.0, self.AREA,
+            mobility_update(Vehicle(0.0, 0.0), 0.0, self.AREA,
                             Mobility.CONSTANT_VELOCITY, (0.0, 0.0),
                             random.Random(1))
 
 
 class TestGroundTruth:
     def test_chain_adjacency(self):
-        positions = {1: Position(0.0, 0.0), 2: Position(200.0, 0.0),
-                     3: Position(400.0, 0.0)}
-        adj = ground_truth_neighbors(positions, 250.0)
-        assert adj == {1: {2}, 2: {1, 3}, 3: {2}}
+        points = {1: (0.0, 0.0), 2: (200.0, 0.0), 3: (400.0, 0.0)}
+        assert sorted(pairs_in_range(points, 250.0)) == [(1, 2), (2, 3)]
 
     def test_single_node(self):
-        assert ground_truth_neighbors({1: Position(0.0, 0.0)}, 250.0) == {1: set()}
+        assert pairs_in_range({1: (0.0, 0.0)}, 250.0) == []
 
     def test_coincident_nodes_form_complete_graph(self):
-        positions = {i: Position(5.0, 5.0) for i in range(1, 5)}
-        adj = ground_truth_neighbors(positions, 1.0)
-        for node, peers in adj.items():
-            assert peers == set(positions) - {node}
+        points = {i: (5.0, 5.0) for i in range(1, 5)}
+        assert sorted(pairs_in_range(points, 1.0)) == [
+            (a, b) for a in points for b in points if a < b]
 
 
 def brute_force_neighbors(positions, radio_range):
@@ -268,16 +263,16 @@ def sent_to(sim, at, sender, dest=None, seed=7):
 
 
 @st.composite
-def radio_scenes(draw):
+def radio_scenes(draw, far=1e300):
     """A range and 1-8 points on cell corners, exactly one range apart,
-    near +-1e300 or past the grid's key limit."""
+    near +-``far`` or past the grid's key limit."""
     radio_range = draw(st.one_of(
-        st.sampled_from([5e-324, 1e-300, 1.0, 250.0, 1e300]),
+        st.sampled_from([5e-324, 1e-300, 1.0, 250.0, far]),
         st.floats(min_value=1e-6, max_value=1e6)))
     side = cell_side(radio_range)
     coordinate = st.one_of(
         st.integers(-3, 3).map(lambda k: k * side),
-        st.sampled_from([1e300, -1e300, math.nextafter(1e300, 0.0),
+        st.sampled_from([far, -far, math.nextafter(far, 0.0),
                          2.0 ** 49, -(2.0 ** 49)]),
         st.floats(-4 * radio_range, 4 * radio_range))
     offsets = [(radio_range, 0.0), (-radio_range, 0.0),
@@ -295,7 +290,9 @@ def radio_scenes(draw):
 
 class TestRadioView:
     @settings(max_examples=150, deadline=None)
-    @given(scene=radio_scenes(), data=st.data())
+    # No coordinate of a scene exceeds 11 x far, so far = 1e37 keeps the
+    # placements under the largest single, as a config must.
+    @given(scene=radio_scenes(far=1e37), data=st.data())
     def test_matches_brute_force_over_live_positions(self, scene, data):
         radio_range, points = scene
         count = len(points)
@@ -324,8 +321,9 @@ class TestRadioView:
     def test_ground_truth_matches_brute_force(self, scene):
         radio_range, points = scene
         positions = {node_id: Position(x, y) for node_id, (x, y) in enumerate(points, 1)}
-        assert ground_truth_neighbors(positions, radio_range) == \
-            brute_force_neighbors(positions, radio_range)
+        expected = brute_force_neighbors(positions, radio_range)
+        assert sorted(pairs_in_range(dict(enumerate(points, 1)), radio_range)) == [
+            (a, b) for a in sorted(expected) for b in sorted(expected[a]) if a < b]
 
     def test_keys_past_exact_floor_range_fall_back_to_one_cell(self):
         # Near 2**51 cells, floor division gives these two points, half a
@@ -335,8 +333,7 @@ class TestRadioView:
         sim = Simulation(cfg)
         assert sorted(sim._grid.block(1)) == [1, 2]
         assert sent_to(sim, 0.0, 1) == [2]
-        positions = {i + 1: Position(*xy) for i, xy in enumerate(cfg.placements)}
-        assert ground_truth_neighbors(positions, 0.7) == {1: {2}, 2: {1}}
+        assert pairs_in_range(dict(enumerate(cfg.placements, 1)), 0.7) == [(1, 2)]
 
     def test_beacon_view_skips_far_cells(self):
         sim = Simulation(line_config(1000.0, 5, radio_range=250.0))
@@ -353,7 +350,7 @@ class TestRadioView:
 
 class TestTwoNodeRuns:
     def test_in_range_pair_completes_both_handshakes(self):
-        cfg = two_node_config(100.0, duration=10.0, **FAST_DH)
+        cfg = line_config(100.0, 2, duration=10.0)
         trace, metrics = run(cfg)
         assert metrics.handshakes_completed == 2
         established = [r for r in trace if r.ev == EV_KEY_ESTABLISHED]
@@ -363,14 +360,14 @@ class TestTwoNodeRuns:
         assert both_keyed <= first_tx + 2 * cfg.prop_delay + 1e-9
 
     def test_keys_are_octet_identical(self):
-        sim = Simulation(two_node_config(100.0, duration=5.0, **FAST_DH))
+        sim = Simulation(line_config(100.0, 2, duration=5.0))
         sim.run()
         key_a = sim.nodes[1].neighbors[2].key
         key_b = sim.nodes[2].neighbors[1].key
         assert key_a is not None and key_a == key_b
 
     def test_out_of_range_pair_never_communicates(self):
-        cfg = two_node_config(400.0, radio_range=250.0, duration=10.0, **FAST_DH)
+        cfg = line_config(400.0, 2, radio_range=250.0, duration=10.0)
         trace, metrics = run(cfg)
         assert all(r.ev == EV_BEACON_TX for r in trace)
         assert metrics.handshakes_completed == 0
@@ -379,7 +376,7 @@ class TestTwoNodeRuns:
         assert sim.nodes[1].neighbors == {} and sim.nodes[2].neighbors == {}
 
     def test_total_loss_sends_but_never_delivers(self):
-        cfg = two_node_config(100.0, loss_rate=1.0, duration=10.0, **FAST_DH)
+        cfg = line_config(100.0, 2, loss_rate=1.0, duration=10.0)
         trace, metrics = run(cfg)
         assert metrics.beacons_sent > 0
         assert metrics.handshakes_completed == 0
@@ -435,7 +432,7 @@ class TestConvergence:
                         speed_range=(0.0, 0.0), **FAST_DH)
         sim = Simulation(cfg)
         trace, metrics = sim.run()
-        truth = ground_truth_neighbors(
+        truth = brute_force_neighbors(
             {i: v.position for i, v in sim.vehicles.items()}, cfg.radio_range)
         for node_id, state in sim.nodes.items():
             assert set(state.neighbors) == truth[node_id]
@@ -506,8 +503,8 @@ class TestHalt:
 
 
 class TestHaltWhileComputingAck:
-    BASE = two_node_config(100.0, crypto_costs=CryptoCosts(0.0, 0.05, 0.05),
-                           duration=5.0, seed=1, **FAST_DH)
+    BASE = line_config(100.0, 2, crypto_costs=CryptoCosts(0.0, 0.05, 0.05),
+                       duration=5.0, seed=1)
 
     def halt_after_first(self, ev):
         """Halt the receiver of the first ``ev`` 0.01 s later, inside its
@@ -735,8 +732,8 @@ class TestRouteProbe:
 class TestCryptoCosts:
     def test_costed_handshake_is_slower_but_symmetric(self):
         costs = CryptoCosts()
-        cfg = two_node_config(100.0, dh_mode=DhMode.PER_NODE_PARAMS,
-                              crypto_costs=costs, duration=10.0, **FAST_DH)
+        cfg = line_config(100.0, 2, dh_mode=DhMode.PER_NODE_PARAMS,
+                          crypto_costs=costs, duration=10.0)
         sim = Simulation(cfg)
         trace, metrics = sim.run()
         first_timer = min(r.extra["timer_at"] for r in trace
@@ -748,7 +745,7 @@ class TestCryptoCosts:
         assert sim.nodes[1].neighbors[2].key == sim.nodes[2].neighbors[1].key
 
     def test_zero_cost_default_keeps_first_beacon_on_time(self):
-        cfg = two_node_config(100.0, duration=5.0, **FAST_DH)
+        cfg = line_config(100.0, 2, duration=5.0)
         trace, _ = run(cfg)
         first_tx = min((r for r in trace if r.ev == EV_BEACON_TX),
                        key=lambda r: r.t)
