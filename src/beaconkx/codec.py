@@ -143,22 +143,20 @@ def decode_param_triple(buf: bytes) -> tuple[int, int, int]:
     return values[0], values[1], values[2]
 
 
-def _payload_is_triple(version: int, ptype: int) -> bool:
-    # ACKs answer inside the initiator's group, so their payload is a bare
-    # magnitude regardless of version.
-    return version == VERSION_PARAM_TRIPLE and ptype == PacketType.BEACON
+def read_payload(version: int, ptype: int, public_value: bytes) -> tuple[int, ...]:
+    """``(p, w, public)`` for a version-2 beacon, ``(public,)`` otherwise:
+    ACKs answer inside the initiator's group, so theirs is one magnitude.
 
-
-def _check_payload(version: int, ptype: int, public_value: bytes) -> None:
+    Raises DecodeError for an empty, over-long or non-canonical payload.
+    """
     if len(public_value) == 0:
         raise DecodeError("public_value must be at least one octet")
     if len(public_value) > MAX_PUBLIC_VALUE_LEN:
         raise DecodeError(
             f"public_value longer than {MAX_PUBLIC_VALUE_LEN} octets")
-    if _payload_is_triple(version, ptype):
-        decode_param_triple(public_value)
-    else:
-        magnitude_to_int(public_value)
+    if version == VERSION_PARAM_TRIPLE and ptype == PacketType.BEACON:
+        return decode_param_triple(public_value)
+    return (magnitude_to_int(public_value),)
 
 
 def encode_packet(pkt: BeaconPacket) -> bytes:
@@ -180,7 +178,7 @@ def encode_packet(pkt: BeaconPacket) -> bytes:
         raise EncodeError(f"position must be finite and within {MAX_SINGLE!r}, "
                           f"got {pkt.src_pos}")
     try:
-        _check_payload(pkt.version, pkt.ptype, pkt.public_value)
+        read_payload(pkt.version, pkt.ptype, pkt.public_value)
     except DecodeError as exc:
         raise EncodeError(f"invalid public_value: {exc}") from exc
     return _HEADER.pack(
@@ -210,7 +208,7 @@ def decode_packet(buf: bytes) -> BeaconPacket:
         # positions), so re-encodability would break if this were accepted.
         raise DecodeError("non-finite position coordinate")
     public_value = buf[HEADER_LEN:]
-    _check_payload(version, ptype, public_value)
+    read_payload(version, ptype, public_value)
     return BeaconPacket(
         identifiant=identifiant,
         version=version,

@@ -37,18 +37,6 @@ class DhError(ValueError):
     """Base class for key-agreement errors."""
 
 
-class InvalidModulusError(DhError):
-    """Modular exponentiation requires a modulus of at least 2."""
-
-
-class ParameterSizeError(DhError):
-    """Requested modulus size outside the supported range."""
-
-
-class InvalidPeerValueError(DhError):
-    """Peer public value outside the accepted range [2, p-2]."""
-
-
 @dataclass(frozen=True)
 class DhParams:
     """Public group parameters: prime modulus ``p`` and base ``w``.
@@ -83,11 +71,10 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     negative exponent as a modular inverse and accepts a modulus of 1.
 
     Raises:
-        InvalidModulusError: if ``modulus < 2``.
-        DhError: if ``base`` or ``exponent`` is negative.
+        DhError: if ``modulus < 2``, or ``base`` or ``exponent`` is negative.
     """
     if modulus < 2:
-        raise InvalidModulusError(f"modulus must be >= 2, got {modulus}")
+        raise DhError(f"modulus must be >= 2, got {modulus}")
     if base < 0 or exponent < 0:
         raise DhError("base and exponent must be non-negative")
     return pow(base, exponent, modulus)
@@ -138,11 +125,11 @@ def generate_dh_params(bit_length: int, rng: random.Random) -> DhParams:
     does not need.
 
     Raises:
-        ParameterSizeError: if ``bit_length`` is outside
+        DhError: if ``bit_length`` is outside
             ``[MIN_MODULUS_BITS, MAX_MODULUS_BITS]``.
     """
     if not MIN_MODULUS_BITS <= bit_length <= MAX_MODULUS_BITS:
-        raise ParameterSizeError(
+        raise DhError(
             f"modulus size must be in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}] "
             f"bits, got {bit_length}")
     while True:
@@ -179,7 +166,7 @@ def compute_shared_secret(params: DhParams, own_private: int,
     exponent, so accepting them would let a sender choose the key.
     """
     if not 2 <= peer_public <= params.p - 2:
-        raise InvalidPeerValueError(
+        raise DhError(
             f"peer public value must be in [2, p-2], got {peer_public}")
     return mod_exp(peer_public, own_private, params.p)
 

@@ -49,13 +49,13 @@ from .codec import (
     VERSION_PARAM_TRIPLE,
     VERSION_SINGLE,
     BeaconPacket,
+    DecodeError,
     PacketType,
     Position,
-    decode_param_triple,
     encode_param_triple,
     int_to_magnitude,
-    magnitude_to_int,
     quantize_position,
+    read_payload,
 )
 from .dh import (
     DhError,
@@ -330,19 +330,14 @@ class NodeState:
     def _parse_exchange(self, pkt: BeaconPacket) -> tuple[DhParams | None, int | None]:
         """Extract the governing group and the sender's public value.
 
-        Version-2 beacons name their own group; anything else is read
+        A payload that carries a group names it; anything else is read
         against our group. Returns (None, None) when the payload names
         no usable group or value.
         """
-        if pkt.version == VERSION_PARAM_TRIPLE and pkt.ptype is PacketType.BEACON:
-            try:
-                p, w, public = decode_param_triple(pkt.public_value)
-                return DhParams(p=p, w=w), public
-            except ValueError:
-                return None, None
         try:
-            return self.dh_params, magnitude_to_int(pkt.public_value)
-        except ValueError:
+            *group, public = read_payload(pkt.version, pkt.ptype, pkt.public_value)
+            return (DhParams(*group) if group else self.dh_params), public
+        except (DecodeError, DhError):
             return None, None
 
     def _refresh_entry(self, node_id: int, position: Position, now: float) -> NeighborEntry:

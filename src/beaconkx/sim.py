@@ -262,28 +262,18 @@ class Vehicle:
 # radio, mobility and routing primitives
 
 
-def deliver_in_range(positions: Mapping[int, Position], sender: int,
-                     ptype: PacketType, dest: int | None, radio_range: float,
-                     loss_rate: float, rng: random.Random) -> list[tuple[int, bool]]:
-    """Candidate receivers of one transmission, with per-candidate loss.
+def deliver_in_range(candidates: Mapping[int, Position], origin: Position,
+                     radio_range: float, loss_rate: float,
+                     rng: random.Random) -> list[tuple[int, bool]]:
+    """The candidates within the closed disk of ``radio_range`` around
+    ``origin``, each with whether it escapes loss.
 
-    Beacons reach every node within the closed disk except the sender;
-    ACKs reach only the addressed node, and only if it is in range.
-    Candidates are drawn against the loss stream in node-id order so the
-    drop pattern is a pure function of the rng state.
+    Kept candidates draw once each from the loss stream in node-id
+    order, so the drop pattern is a pure function of the rng state.
     """
-    origin = positions[sender]
-    if ptype is PacketType.BEACON:
-        candidates = [
-            node_id for node_id in sorted(positions)
-            if node_id != sender and distance(origin, positions[node_id]) <= radio_range
-        ]
-    else:
-        candidates = []
-        if dest is not None and dest in positions and dest != sender:
-            if distance(origin, positions[dest]) <= radio_range:
-                candidates.append(dest)
-    return [(node_id, rng.random() >= loss_rate) for node_id in candidates]
+    return [(node_id, rng.random() >= loss_rate)
+            for node_id, position in sorted(candidates.items())
+            if distance(origin, position) <= radio_range]
 
 
 def mobility_update(vehicle: Vehicle, dt: float, area: tuple[float, float],
@@ -323,11 +313,11 @@ def mobility_update(vehicle: Vehicle, dt: float, area: tuple[float, float],
         wx, wy = vehicle.waypoint
         remaining = math.hypot(wx - vehicle.x, wy - vehicle.y)
         step = vehicle.speed * dt
-        if step >= remaining and remaining >= 0:
+        if step >= remaining:
             vehicle.x, vehicle.y = wx, wy
             vehicle.waypoint = (rng.uniform(0, width), rng.uniform(0, height))
             vehicle.speed = rng.uniform(*speed_range)
-        elif remaining > 0:
+        else:
             vehicle.x += (wx - vehicle.x) / remaining * step
             vehicle.y += (wy - vehicle.y) / remaining * step
 
@@ -466,19 +456,19 @@ class Simulation:
 
     def _send(self, now: float, sender: int, dest: int | None,
               pkt: BeaconPacket) -> None:
-        """Hand ``pkt`` to ``deliver_in_range`` with the sender and every
-        node live at ``now`` that could hear it: the nodes of the sender's
-        3 x 3 cell block for a beacon, the addressee ``dest`` for an ACK."""
+        """Hand ``pkt`` to ``deliver_in_range`` with every node other than
+        the sender, live at ``now``, that could hear it: the nodes of the
+        sender's 3 x 3 cell block for a beacon, the addressee ``dest`` for
+        an ACK."""
         cfg = self.config
         nodes = self.nodes
-        ptype = pkt.ptype
-        nearby = self._grid.block(sender) if ptype is PacketType.BEACON else (dest,)
-        view = {node_id: nodes[node_id].own_position for node_id in nearby
-                if not self._halted(node_id, now)}
-        view[sender] = nodes[sender].own_position
+        nearby = self._grid.block(sender) if pkt.ptype is PacketType.BEACON else (dest,)
+        candidates = {node_id: nodes[node_id].own_position for node_id in nearby
+                      if node_id != sender and not self._halted(node_id, now)}
         payload = (sender, pkt)
         for recipient, delivered in deliver_in_range(
-                view, sender, ptype, dest, cfg.radio_range, cfg.loss_rate, self._rng_loss):
+                candidates, nodes[sender].own_position, cfg.radio_range,
+                cfg.loss_rate, self._rng_loss):
             if delivered:
                 self._push(now + cfg.prop_delay, EventKind.PACKET_DELIVERY, recipient, payload)
 

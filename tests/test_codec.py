@@ -21,6 +21,7 @@ from beaconkx.codec import (
     int_to_magnitude,
     magnitude_to_int,
     quantize_position,
+    read_payload,
 )
 
 GOLDEN_BEACON = bytes.fromhex("00000001010100130000000000000000000108")
@@ -181,6 +182,30 @@ class TestMagnitudes:
     def test_triple_rejects_trailing_octets(self):
         with pytest.raises(DecodeError, match="trailing octets"):
             decode_param_triple(encode_param_triple(23, 5, 8) + b"\x00")
+
+
+class TestReadPayload:
+    def test_version_1_beacon_is_one_value(self):
+        assert read_payload(1, PacketType.BEACON, b"\x08") == (8,)
+
+    def test_version_2_beacon_is_a_triple(self):
+        assert read_payload(2, PacketType.BEACON, encode_param_triple(23, 5, 8)) == (23, 5, 8)
+
+    def test_version_2_ack_is_one_value(self):
+        # An ACK answers inside the initiator's group, so it never carries one.
+        assert read_payload(2, PacketType.ACK, b"\x01\x17") == (0x117,)
+
+    @pytest.mark.parametrize("version, ptype, payload, reason", [
+        (2, PacketType.BEACON, encode_param_triple(23, 5, 8)[:-1], "triple truncated"),
+        (2, PacketType.BEACON, encode_param_triple(23, 5, 8) + b"\x00", "trailing octets"),
+        (2, PacketType.BEACON, b"\x08", "triple truncated"),
+        (1, PacketType.BEACON, b"", "at least one octet"),
+        (2, PacketType.ACK, b"\x00\x08", "leading zero octet"),
+        (1, PacketType.ACK, b"\x01" * (MAX_PUBLIC_VALUE_LEN + 1), "longer than"),
+    ])
+    def test_malformed_payload_names_its_fault(self, version, ptype, payload, reason):
+        with pytest.raises(DecodeError, match=reason):
+            read_payload(version, ptype, payload)
 
 
 singles = st.floats(width=32, allow_nan=False, allow_infinity=False)

@@ -9,9 +9,6 @@ from beaconkx.dh import (
     MAX_MODULUS_BITS,
     DhError,
     DhParams,
-    InvalidModulusError,
-    InvalidPeerValueError,
-    ParameterSizeError,
     compute_shared_secret,
     derive_symmetric_key,
     generate_dh_params,
@@ -41,9 +38,9 @@ class TestModExp:
         assert naive_mod_pow(base, exp, mod) == expected
 
     def test_rejects_small_modulus(self):
-        with pytest.raises(InvalidModulusError):
+        with pytest.raises(DhError, match="modulus must be >= 2"):
             mod_exp(5, 6, 1)
-        with pytest.raises(InvalidModulusError):
+        with pytest.raises(DhError, match="modulus must be >= 2"):
             mod_exp(5, 6, 0)
 
     def test_rejects_negative_operands(self):
@@ -115,11 +112,11 @@ class TestParamGeneration:
         assert 2 <= params.w < params.p
 
     def test_too_small_rejected(self):
-        with pytest.raises(ParameterSizeError):
+        with pytest.raises(DhError, match="modulus size must be in"):
             generate_dh_params(8, random.Random(1))
 
     def test_too_large_rejected(self):
-        with pytest.raises(ParameterSizeError):
+        with pytest.raises(DhError, match="modulus size must be in"):
             generate_dh_params(MAX_MODULUS_BITS + 1, random.Random(1))
 
     def test_deterministic_given_seed(self):
@@ -169,7 +166,7 @@ class TestSharedSecret:
     @pytest.mark.parametrize("peer", [0, 1, 22, 23, -1])
     def test_degenerate_peer_values_rejected(self, peer):
         params = DhParams(p=23, w=5)
-        with pytest.raises(InvalidPeerValueError):
+        with pytest.raises(DhError, match="peer public value must be in"):
             compute_shared_secret(params, 6, peer)
 
     def test_exhaustive_agreement_small_prime(self):
@@ -184,7 +181,7 @@ class TestSharedSecret:
                 degenerate = {1, params.p - 1}
                 if alpha in degenerate or beta in degenerate:
                     side = alpha if alpha in degenerate else beta
-                    with pytest.raises(InvalidPeerValueError):
+                    with pytest.raises(DhError, match="peer public value must be in"):
                         compute_shared_secret(params, a if side == beta else b, side)
                     continue
                 assert compute_shared_secret(params, a, beta) == \

@@ -1,0 +1,162 @@
+"""Invariants of whole runs, checked from the trace file alone.
+
+Small random configs cover both DH modes, crypto costs, adaptive
+beaconing, both mobility models, loss, halts and probes. Each run's
+trace text must replay to the run's own metrics, and every record in it
+must follow from the model: a reception from a transmission in range, an
+ACK from a beacon heard, and in a shared group one key per pair.
+"""
+
+import math
+from collections import defaultdict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beaconkx.codec import Position
+from beaconkx.metrics import compute_metrics
+from beaconkx.protocol import DhMode, NodeConfig
+from beaconkx.sim import MOBILITY_TICK_INTERVAL, CryptoCosts, Mobility, RouteProbe, SimConfig, run
+from beaconkx.trace import (
+    EV_ACK_RX,
+    EV_ACK_TX,
+    EV_BEACON_RX,
+    EV_BEACON_TX,
+    EV_KEY_ESTABLISHED,
+    Trace,
+)
+
+# The file writes six decimals: a time is off by at most 5e-7, and a
+# distance between two written positions by at most 2 * sqrt(2) * 5e-7.
+TIME_TOLERANCE = 2e-6
+DISTANCE_TOLERANCE = 2e-6
+
+COST = st.floats(0.0, 0.5)
+
+
+@st.composite
+def node_configs(draw):
+    interval = draw(st.floats(0.2, 2.0))
+    return NodeConfig(
+        beacon_interval=interval,
+        expiry_multiplier=draw(st.floats(1.5, 5.0)),
+        adaptive=draw(st.booleans()),
+        target_degree=draw(st.integers(1, 8)),
+        adapt_gain=draw(st.floats(0.0, 1.0)),
+        interval_min=draw(st.floats(0.1, interval)),
+        interval_max=draw(st.floats(interval, 4.0)))
+
+
+@st.composite
+def sim_configs(draw):
+    n = draw(st.integers(2, 12))
+    side = draw(st.floats(100.0, 600.0))
+    duration = draw(st.floats(1.0, 5.0))
+    speed_max = draw(st.sampled_from([0.0, 5.0, 20.0]))
+    halted = draw(st.lists(st.integers(1, n), max_size=2, unique=True))
+    probes = draw(st.lists(st.builds(
+        RouteProbe, at=st.floats(0.0, duration), src=st.integers(1, n),
+        dest=st.builds(Position, st.floats(0.0, side), st.floats(0.0, side))), max_size=2))
+    return SimConfig(
+        n_vehicles=n,
+        area=(side, side),
+        radio_range=draw(st.floats(0.2, 1.0)) * side,
+        speed_range=(draw(st.floats(0.0, speed_max)), speed_max),
+        mobility=draw(st.sampled_from(Mobility)),
+        duration=duration,
+        loss_rate=draw(st.one_of(st.sampled_from([0.0, 0.1, 0.5]), st.floats(0.0, 1.0))),
+        prop_delay=draw(st.sampled_from([0.0, 0.001, 0.05])),
+        seed=draw(st.integers(0, 10**6)),
+        node_config=draw(node_configs()),
+        dh_bits=draw(st.integers(16, 64)),
+        dh_mode=draw(st.sampled_from(DhMode)),
+        crypto_costs=draw(st.one_of(st.none(), st.builds(CryptoCosts, COST, COST, COST))),
+        halts=tuple((node, draw(st.floats(0.0, duration))) for node in halted),
+        probes=tuple(probes))
+
+
+def by_pair(records, ev):
+    """``(node, peer) -> [(t, pos)]`` of the records ``ev``."""
+    sent = defaultdict(list)
+    for rec in records:
+        if rec.ev == ev:
+            sent[(rec.node, rec.peer)].append((rec.t, rec.pos))
+    return sent
+
+
+def match(candidates, t):
+    """The position of the candidate written at ``t``, or None."""
+    for at, pos in candidates:
+        if abs(at - t) <= TIME_TOLERANCE:
+            return pos
+    return None
+
+
+def receptions_problems(records, cfg: SimConfig) -> list[str]:
+    """Every rx at t has a tx of its kind by ``peer`` at t - prop_delay, and
+    the receiver lies within range of where that tx was written.
+
+    A tx record holds the sender's position when the engine decides who
+    hears it: the send instant for a beacon, and for an ACK the beacon's
+    arrival, ``receiver_secret`` before the ACK's instant. The receiver may
+    move on every mobility tick from then to its rx.
+    """
+    beacons = by_pair(records, EV_BEACON_TX)
+    acks = by_pair(records, EV_ACK_TX)
+    ack_cost = cfg.crypto_costs.receiver_secret if cfg.crypto_costs else 0.0
+    problems = []
+    for rec in records:
+        if rec.ev == EV_BEACON_RX:
+            origin, decided = match(beacons[(rec.peer, None)], rec.t - cfg.prop_delay), 0.0
+        elif rec.ev == EV_ACK_RX:
+            origin = match(acks[(rec.peer, rec.node)], rec.t - cfg.prop_delay)
+            decided = ack_cost
+        else:
+            continue
+        if origin is None:
+            problems.append(f"{rec}: no transmission")
+            continue
+        ticks = math.floor((cfg.prop_delay + decided) / MOBILITY_TICK_INTERVAL) + 1
+        drift = ticks * cfg.speed_range[1] * MOBILITY_TICK_INTERVAL
+        d = math.hypot(origin[0] - rec.pos[0], origin[1] - rec.pos[1])
+        if d > cfg.radio_range + drift + DISTANCE_TOLERANCE:
+            problems.append(f"{rec}: {d} m from its transmission")
+    return problems
+
+
+def unanswered_acks(records, cfg: SimConfig) -> list[str]:
+    """Every ``ack_tx`` to A by B leaves ``receiver_secret`` after B heard a
+    beacon from A."""
+    heard = by_pair(records, EV_BEACON_RX)
+    cost = cfg.crypto_costs.receiver_secret if cfg.crypto_costs else 0.0
+    return [f"{rec}: answers no beacon" for rec in records if rec.ev == EV_ACK_TX
+            and match(heard[(rec.node, rec.peer)], rec.t - cost) is None]
+
+
+def keys_per_pair(records) -> dict[frozenset, set[str]]:
+    keys = defaultdict(set)
+    for rec in records:
+        if rec.ev == EV_KEY_ESTABLISHED:
+            keys[frozenset((rec.node, rec.peer))].add(rec.extra["key"])
+    return keys
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=sim_configs())
+def test_run_invariants_hold_in_the_trace_file(cfg):
+    trace, metrics = run(cfg)
+    text = trace.to_jsonl()
+    again, again_metrics = run(cfg)
+    assert again.to_jsonl() == text and again_metrics.to_json() == metrics.to_json()
+
+    read = Trace.from_jsonl(text)
+    assert read.to_jsonl() == text
+    replayed = compute_metrics(read, radio_range=cfg.radio_range, duration=cfg.duration)
+    assert replayed.to_json() == metrics.to_json()
+
+    records = read.records
+    assert receptions_problems(records, cfg) == []
+    assert unanswered_acks(records, cfg) == []
+    if cfg.dh_mode is DhMode.GLOBAL_PARAMS:
+        assert {pair: keys for pair, keys in keys_per_pair(records).items()
+                if len(keys) > 1} == {}

@@ -133,42 +133,36 @@ class TestDurationCap:
 
 
 class TestDeliverInRange:
-    POSITIONS = {1: Position(0.0, 0.0), 2: Position(100.0, 0.0),
-                 3: Position(300.0, 0.0)}
+    ORIGIN = Position(0.0, 0.0)
+    CANDIDATES = {2: Position(100.0, 0.0), 3: Position(300.0, 0.0)}
 
     def test_beacon_reaches_only_nodes_in_range(self):
-        out = deliver_in_range(self.POSITIONS, 1, PacketType.BEACON, None,
-                               250.0, 0.0, random.Random(1))
+        out = deliver_in_range(self.CANDIDATES, self.ORIGIN, 250.0, 0.0, random.Random(1))
         assert out == [(2, True)]
 
     def test_distance_equal_to_range_delivers(self):
-        positions = {1: Position(0.0, 0.0), 2: Position(250.0, 0.0)}
-        out = deliver_in_range(positions, 1, PacketType.BEACON, None,
+        out = deliver_in_range({2: Position(250.0, 0.0)}, self.ORIGIN,
                                250.0, 0.0, random.Random(1))
         assert out == [(2, True)]
-
-    def test_ack_reaches_only_addressee(self):
-        out = deliver_in_range(self.POSITIONS, 1, PacketType.ACK, 2,
-                               250.0, 0.0, random.Random(1))
-        assert out == [(2, True)]
-        out = deliver_in_range(self.POSITIONS, 1, PacketType.ACK, 3,
-                               250.0, 0.0, random.Random(1))
-        assert out == []
 
     def test_loss_pattern_is_seed_deterministic(self):
-        positions = {i: Position(float(i), 0.0) for i in range(1, 30)}
-        first = deliver_in_range(positions, 1, PacketType.BEACON, None,
-                                 100.0, 0.5, random.Random(42))
-        second = deliver_in_range(positions, 1, PacketType.BEACON, None,
-                                  100.0, 0.5, random.Random(42))
+        candidates = {i: Position(float(i), 0.0) for i in range(2, 30)}
+        first = deliver_in_range(candidates, Position(1.0, 0.0), 100.0, 0.5, random.Random(42))
+        second = deliver_in_range(candidates, Position(1.0, 0.0), 100.0, 0.5, random.Random(42))
         assert first == second
         assert any(delivered for _, delivered in first)
         assert any(not delivered for _, delivered in first)
 
     def test_total_loss_drops_everything(self):
-        out = deliver_in_range(self.POSITIONS, 1, PacketType.BEACON, None,
-                               250.0, 1.0, random.Random(1))
+        out = deliver_in_range(self.CANDIDATES, self.ORIGIN, 250.0, 1.0, random.Random(1))
         assert out == [(2, False)]
+
+    def test_one_draw_per_kept_candidate_in_id_order(self):
+        candidates = {5: Position(1.0, 0.0), 3: Position(500.0, 0.0), 1: Position(2.0, 0.0)}
+        rng, oracle = random.Random(3), random.Random(3)
+        out = deliver_in_range(candidates, self.ORIGIN, 10.0, 0.5, rng)
+        assert out == [(1, oracle.random() >= 0.5), (5, oracle.random() >= 0.5)]
+        assert rng.getstate() == oracle.getstate()
 
 
 class TestMobilityUpdate:
@@ -305,15 +299,14 @@ class TestRadioView:
         halted = {node_id for node_id, t in halts if at >= t}
         live = {node_id: Position(x, y) for node_id, (x, y) in enumerate(points, 1)
                 if node_id not in halted}
-        sends = [(PacketType.BEACON, None)] + [
-            (PacketType.ACK, dest) for dest in range(1, count + 1)]
-        for sender in live:
-            for ptype, dest in sends:
+        for sender, origin in live.items():
+            for dest in [None, *range(1, count + 1)]:
                 got = sent_to(sim, at, sender, dest)
+                hearers = [node_id for node_id, pos in sorted(live.items())
+                           if node_id != sender and dest in (None, node_id)
+                           and math.hypot(pos.x - origin.x, pos.y - origin.y) <= radio_range]
                 oracle_rng = random.Random(7)
-                expected = deliver_in_range(live, sender, ptype, dest, radio_range,
-                                            0.5, oracle_rng)
-                assert got == [node_id for node_id, delivered in expected if delivered]
+                assert got == [node_id for node_id in hearers if oracle_rng.random() >= 0.5]
                 assert sim._rng_loss.getstate() == oracle_rng.getstate()
 
     @settings(max_examples=150, deadline=None)
@@ -340,7 +333,12 @@ class TestRadioView:
         assert sim._grid.block(1) == [1]
         assert sent_to(sim, 0.0, 1) == []
 
-    def test_ack_view_holds_sender_and_live_addressee(self):
+    def test_ack_reaches_its_addressee_only_in_range(self):
+        sim = Simulation(line_config(100.0, 4, radio_range=250.0))
+        assert sent_to(sim, 0.5, 1, dest=2) == [2]
+        assert sent_to(sim, 0.5, 1, dest=4) == []
+
+    def test_ack_view_holds_live_addressee(self):
         cfg = line_config(100.0, 4, duration=5.0, halts=((3, 1.0),))
         sim = Simulation(cfg)
         assert sent_to(sim, 0.5, 1, dest=3) == [3]
