@@ -80,10 +80,17 @@ MAX_VEHICLES = 10**5
 # replay may take, however few events the run has.
 MAX_SAMPLES = 10**4
 # Most set-up a config may ask for, in 512-bit prime searches (about
-# 0.06 s each on one Xeon core): one search per group, and one group per
-# vehicle in per-node mode, each weighted by (dh_bits / 512) ** 3.5, the
-# growth timed from 512 to 2048 bits. Past it set-up alone takes minutes.
+# 0.06-0.08 s each on one Xeon core): one search per group, and one group
+# per vehicle in per-node mode, each weighted by (dh_bits / 512) ** 3.5,
+# the growth timed from 512 to 2048 bits; plus one key pair per vehicle,
+# weighted KEYPAIR_SEARCHES * (dh_bits / 512) ** 2.5. Past it set-up
+# alone takes minutes.
 MAX_PRIME_SEARCHES = 2000
+# A 512-bit key pair from its group's fixed-base table, in searches:
+# 0.30 ms against a 78-ms search on a 2-vCPU Xeon VM, growing to 10.3 ms
+# at 2048 bits. A per-node group makes its one pair with pow, 4x dearer
+# but still under 2 % of that group's own search.
+KEYPAIR_SEARCHES = 1 / 250
 
 
 class Mobility(Enum):
@@ -174,11 +181,14 @@ class SimConfig:
                 f"sim.dh_bits must be in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}], "
                 f"got {self.dh_bits}")
         groups = self.n_vehicles if self.dh_mode is DhMode.PER_NODE_PARAMS else 1
-        searches = groups * (self.dh_bits / 512) ** 3.5
+        scale = self.dh_bits / 512
+        searches = (groups * scale ** 3.5
+                    + self.n_vehicles * KEYPAIR_SEARCHES * scale ** 2.5)
         if searches > MAX_PRIME_SEARCHES:
             raise ConfigError(
-                f"sim.dh_bits {self.dh_bits} in {groups} groups needs set-up worth "
-                f"{searches:.0f} 512-bit prime searches, more than {MAX_PRIME_SEARCHES}")
+                f"sim.dh_bits {self.dh_bits} for sim.n_vehicles {self.n_vehicles} "
+                f"in {groups} groups needs set-up worth {searches:.0f} 512-bit "
+                f"prime searches, more than {MAX_PRIME_SEARCHES}")
         for key, side in zip(("sim.area_width", "sim.area_height"), self.area):
             _check_number(key, side, positive=True)
             if side > MAX_SINGLE:

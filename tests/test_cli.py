@@ -122,6 +122,9 @@ class TestRunCommand:
         # Few events, but one 2048-bit prime search per vehicle in set-up.
         ("sim.n_vehicles = 16\nsim.dh_mode = per_node\nsim.dh_bits = 2048\n"
          "sim.duration = 1e-6", "sim.dh_bits"),
+        # One group, but 10^5 2048-bit key pairs in set-up.
+        (f"sim.n_vehicles = {MAX_VEHICLES}\nsim.dh_bits = 2048\nsim.duration = 1e-6",
+         "sim.n_vehicles"),
     ])
     def test_endless_duration_exits_2(self, tmp_path, lines, key):
         # In a subprocess, so that a missing guard fails by timeout

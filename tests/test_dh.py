@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beaconkx.dh import (
+    FIXED_BASE_AFTER,
+    FIXED_BASE_WINDOW,
     MAX_MODULUS_BITS,
     DhError,
     DhParams,
@@ -17,6 +20,7 @@ from beaconkx.dh import (
     keypair_from_private,
     mod_exp,
 )
+from beaconkx.sim import SimConfig, Simulation
 
 
 def naive_mod_pow(base: int, exponent: int, modulus: int) -> int:
@@ -155,6 +159,63 @@ class TestKeypair:
         params = DhParams(p=23, w=5)
         assert generate_keypair(params, random.Random(4)) == \
             generate_keypair(params, random.Random(4))
+
+
+class TestFixedBaseTable:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_keypair_equals_pow_before_and_after_the_table(self, data):
+        # Any modulus will do for the arithmetic; widths that are not a
+        # multiple of the window leave a short top row.
+        bits = data.draw(st.one_of(
+            st.integers(16, 1024),
+            st.sampled_from([16, 17, 255, 256, 257, 1023, 1024])))
+        p = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        params = DhParams(p=p, w=data.draw(st.integers(2, p - 1)))
+        middle = data.draw(st.lists(st.integers(2, p - 2), min_size=FIXED_BASE_AFTER,
+                                    max_size=FIXED_BASE_AFTER + 4))
+        # The edges go first, through pow, and last, through the table.
+        for x in [2, p - 2, *middle, 2, p - 2]:
+            assert keypair_from_private(params, x).public_value == pow(params.w, x, p)
+        rows = params._fixed_base.rows
+        assert len(rows) == -(-bits // FIXED_BASE_WINDOW)
+
+    def test_first_pairs_use_pow_then_one_table(self):
+        params = generate_dh_params(64, random.Random(5))
+        for x in range(2, 2 + FIXED_BASE_AFTER):
+            keypair_from_private(params, x)
+        assert params._fixed_base.rows == []
+        keypair_from_private(params, 99)
+        rows = params._fixed_base.rows
+        assert rows
+        keypair_from_private(params, 100)
+        assert params._fixed_base.rows is rows
+
+    def test_table_keeps_equality_hash_and_repr(self):
+        params = generate_dh_params(64, random.Random(6))
+        twin = DhParams(p=params.p, w=params.w)
+        before = repr(params)
+        for x in range(2, FIXED_BASE_AFTER + 4):
+            keypair_from_private(params, x)
+        assert params._fixed_base.rows
+        assert params == twin and twin == params
+        assert hash(params) == hash(twin)
+        assert {twin: "group"}[params] == "group"
+        assert repr(params) == repr(twin) == before
+        assert dataclasses.asdict(params) == {"p": params.p, "w": params.w}
+
+    def test_each_simulation_builds_its_own_table(self):
+        config = SimConfig(n_vehicles=FIXED_BASE_AFTER + 2, dh_bits=64, duration=1.0)
+        first, second = Simulation(config), Simulation(config)
+        group = first.nodes[1].dh_params
+        assert group == second.nodes[1].dh_params
+        tables = [sim.nodes[1].dh_params._fixed_base for sim in (first, second)]
+        assert tables[0] is not tables[1]
+        for table in tables:
+            assert table.calls == config.n_vehicles
+            assert table.rows
+        assert tables[0].rows == tables[1].rows
+        assert tables[0].rows is not tables[1].rows
 
 
 class TestSharedSecret:

@@ -82,19 +82,33 @@ class TestConfigValidation:
             replace(valid, n_vehicles=0)
 
     def test_upper_bounds_are_inclusive(self):
-        SimConfig(n_vehicles=MAX_VEHICLES, duration=1e-6, dh_bits=MAX_MODULUS_BITS)
+        # Each bound alone: both together ask for 10^5 2048-bit key pairs.
+        SimConfig(n_vehicles=MAX_VEHICLES, duration=1e-6)
+        SimConfig(n_vehicles=2, duration=1e-6, dh_bits=MAX_MODULUS_BITS)
 
     def test_set_up_bound_counts_one_prime_search_per_group(self):
         # A 512-bit group weighs one search; a global group is one search
-        # however many vehicles share it.
+        # however many vehicles share it. Each vehicle's key pair adds
+        # 1/250 of a search at 512 bits.
         per_node = dict(dh_mode=DhMode.PER_NODE_PARAMS, duration=1e-6)
-        SimConfig(n_vehicles=MAX_PRIME_SEARCHES, **per_node)
+        SimConfig(n_vehicles=1990, **per_node)
         with pytest.raises(ConfigError, match="sim.dh_bits"):
             SimConfig(n_vehicles=MAX_PRIME_SEARCHES + 1, **per_node)
         SimConfig(n_vehicles=MAX_PRIME_SEARCHES + 1, duration=1e-6)
         SimConfig(n_vehicles=15, dh_bits=MAX_MODULUS_BITS, **per_node)
         with pytest.raises(ConfigError, match="sim.dh_bits"):
             SimConfig(n_vehicles=16, dh_bits=MAX_MODULUS_BITS, **per_node)
+
+    def test_set_up_bound_counts_one_key_pair_per_vehicle(self):
+        # One 2048-bit group, but 10^5 key pairs: about 17 min of set-up
+        # even from the group's fixed-base table.
+        with pytest.raises(ConfigError, match="sim.n_vehicles"):
+            SimConfig(n_vehicles=MAX_VEHICLES, dh_bits=MAX_MODULUS_BITS, duration=1e-6)
+        # 2048 bits weigh 4^3.5 = 128 searches for the group and
+        # 4^2.5 / 250 per pair: the budget holds 14625 pairs.
+        SimConfig(n_vehicles=14600, dh_bits=MAX_MODULUS_BITS, duration=1e-6)
+        with pytest.raises(ConfigError, match="sim.n_vehicles 14650"):
+            SimConfig(n_vehicles=14650, dh_bits=MAX_MODULUS_BITS, duration=1e-6)
 
 
 class TestNumericValidation:

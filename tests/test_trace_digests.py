@@ -12,7 +12,7 @@ import pytest
 from beaconkx.codec import Position
 from beaconkx.config import parse_config_text
 from beaconkx.protocol import DhMode, NodeConfig
-from beaconkx.sim import CryptoCosts, Mobility, RouteProbe, SimConfig, run
+from beaconkx.sim import CryptoCosts, Mobility, RouteProbe, SimConfig, Simulation, run
 
 CRITERION_9_TEXT = """
 sim.n_vehicles = 12
@@ -81,3 +81,12 @@ def run_digest(config: SimConfig) -> str:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_trace_and_metrics_digest_pinned(name):
     assert run_digest(CONFIGS[name]) == DIGESTS[name]
+
+
+def test_shared_groups_compute_from_their_table():
+    # The pinned runs cover the fixed-base table, not only builtin pow:
+    # every global group here makes enough key pairs to build one.
+    for name, config in CONFIGS.items():
+        group = Simulation(config).nodes[1].dh_params
+        built = bool(group._fixed_base.rows)
+        assert built is (config.dh_mode is DhMode.GLOBAL_PARAMS), name
