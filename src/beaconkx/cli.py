@@ -35,7 +35,8 @@ from .dh import (
     generate_keypair,
 )
 from .metrics import compute_metrics
-from .sim import ConfigError, CryptoCosts, SimConfig, run
+from .sim import (MAX_PRIME_SEARCHES, ConfigError, CryptoCosts, SimConfig,
+                  prime_searches, run)
 from .trace import Trace, TraceFormatError
 
 EXIT_OK = 0
@@ -221,6 +222,14 @@ def _cmd_bench(args) -> int:
         return EXIT_USAGE
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    # Each trial searches one group and makes two key pairs; a search
+    # below 512 bits still counts as one, so small groups are bounded too.
+    searches = args.trials * max(1.0, prime_searches(args.bits, 1, 2))
+    if searches > MAX_PRIME_SEARCHES:
+        print(f"error: --trials {args.trials} at --bits {args.bits} needs work "
+              f"worth {searches:.0f} 512-bit prime searches, more than "
+              f"{MAX_PRIME_SEARCHES}", file=sys.stderr)
         return EXIT_USAGE
     result = run_bench(args.bits, args.trials, args.seed)
     _print_bench(result, sys.stdout)

@@ -13,30 +13,31 @@ send: each node's ``own_position`` is its vehicle's current position, and
 (``grid.CellGrid``), both written at set-up and on each mobility tick
 only. A beacon's candidate receivers are the live nodes in the 3 x 3
 block of cells around its sender; an ACK's is its live addressee.
-Liveness is checked per candidate at the send instant, which is not
-monotone in event order: with crypto costs on, an ACK leaves at the end
-of the responder's secret computation, after the delivery that prompted
-it. A node that halts inside that window records no key and sends no
-ACK. The engine neither encodes nor decodes: every delivery carries the
-sender's packet, whose ``packet_len`` is its length on the wire, and the
-packet equals the decoding of its encoding, since the protocol rounds
-positions to singles, as the wire does.
+Liveness is checked per candidate at the send instant. A node that halts
+while computing a secret records no key and sends no ACK. The engine
+neither encodes nor decodes: every delivery carries the sender's packet,
+whose ``packet_len`` is its length on the wire, and the packet equals the
+decoding of its encoding, since the protocol rounds positions to
+singles, as the wire does.
 
 The nodes share one ``protocol.SecretMemo``, so the two ends of a key
 exchange pay for one exponentiation between them.
 
 Everything is driven by one event heap ordered by
 ``(time, kind, node, insertion sequence)``; the loop runs every event up
-to and including ``duration`` and leaves later ones unrun. Every random
-draw comes from named ``random.Random`` streams derived from the config
-seed, so a config maps to exactly one trace, byte for byte.
+to and including ``duration`` and leaves later ones unrun. Each handler
+acts and writes the trace at its own event's instant only, so the trace
+comes out in time order. Every random draw comes from named
+``random.Random`` streams derived from the config seed, so a config maps
+to exactly one trace, byte for byte.
 
 Optional simulated crypto costs decouple handshake timing from host
 speed: when enabled, a node's first beacon is deferred by the parameter
-generation cost, and each side's shared-secret computation shifts its
-externally visible effects (key establishment, the ACK) by the
-configured amount. The default constants model a 512-bit exchange on
-2006-era hardware, where parameter generation dominates at ~3.5 s and
+generation cost, and each side's shared-secret computation is its own
+event, ``SECRET_DONE``, the configured amount after the packet that
+started it. The key is recorded and the ACK sent at that event, from
+where the node is then. The default constants model a 512-bit exchange
+on 2006-era hardware, where parameter generation dominates at ~3.5 s and
 the whole two-message handshake lands around 3.6 s.
 """
 
@@ -47,7 +48,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from operator import attrgetter
 from typing import Mapping
 
 from .codec import MAX_SINGLE, BeaconPacket, PacketType, Position
@@ -93,6 +93,13 @@ MAX_PRIME_SEARCHES = 2000
 KEYPAIR_SEARCHES = 1 / 250
 
 
+def prime_searches(dh_bits: int, groups: int, keypairs: int) -> float:
+    """The set-up work of ``groups`` groups and ``keypairs`` key pairs at
+    ``dh_bits``, in 512-bit prime searches (see MAX_PRIME_SEARCHES)."""
+    scale = dh_bits / 512
+    return groups * scale ** 3.5 + keypairs * KEYPAIR_SEARCHES * scale ** 2.5
+
+
 class Mobility(Enum):
     CONSTANT_VELOCITY = "constant_velocity"
     RANDOM_WAYPOINT = "random_waypoint"
@@ -100,10 +107,13 @@ class Mobility(Enum):
 
 class EventKind(IntEnum):
     # Numeric order is the tie-break order for simultaneous events.
+    # SECRET_DONE sorts before every delivery, so a zero-cost secret ends
+    # right after the delivery that started it.
     BEACON_TIMER = 0
-    PACKET_DELIVERY = 1
-    MOBILITY_TICK = 2
-    ROUTE_PROBE = 3
+    SECRET_DONE = 1
+    PACKET_DELIVERY = 2
+    MOBILITY_TICK = 3
+    ROUTE_PROBE = 4
 
 
 @dataclass(frozen=True)
@@ -181,9 +191,7 @@ class SimConfig:
                 f"sim.dh_bits must be in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}], "
                 f"got {self.dh_bits}")
         groups = self.n_vehicles if self.dh_mode is DhMode.PER_NODE_PARAMS else 1
-        scale = self.dh_bits / 512
-        searches = (groups * scale ** 3.5
-                    + self.n_vehicles * KEYPAIR_SEARCHES * scale ** 2.5)
+        searches = prime_searches(self.dh_bits, groups, self.n_vehicles)
         if searches > MAX_PRIME_SEARCHES:
             raise ConfigError(
                 f"sim.dh_bits {self.dh_bits} for sim.n_vehicles {self.n_vehicles} "
@@ -436,8 +444,6 @@ class Simulation:
 
     def _emit(self, t: float, ev: str, node: int, peer: int | None,
               extra: dict | None = None) -> None:
-        if t > self.config.duration:
-            return  # effect lands beyond the simulated horizon
         pos = self.nodes[node].own_position
         self._trace.append(TraceRecord(t, ev, node, peer, (pos.x, pos.y), extra or {}))
 
@@ -469,7 +475,8 @@ class Simulation:
         """Hand ``pkt`` to ``deliver_in_range`` with every node other than
         the sender, live at ``now``, that could hear it: the nodes of the
         sender's 3 x 3 cell block for a beacon, the addressee ``dest`` for
-        an ACK."""
+        an ACK. ``now`` is the current event's instant, so the reach uses
+        the positions of that instant."""
         cfg = self.config
         nodes = self.nodes
         nearby = self._grid.block(sender) if pkt.ptype is PacketType.BEACON else (dest,)
@@ -492,22 +499,29 @@ class Simulation:
         if pkt.ptype is PacketType.BEACON:
             self._emit(now, EV_BEACON_RX, node_id, sender, {"len": pkt.packet_len})
             ack = state.on_receive_beacon(pkt, now)
-            done = now + self._costs.receiver_secret
+            cost = self._costs.receiver_secret
         else:
             self._emit(now, EV_ACK_RX, node_id, sender, {"len": pkt.packet_len})
             state.on_receive_ack(pkt, now)
             ack = None
-            done = now + self._costs.sender_secret
-        # A node that halts while computing its secret neither records
-        # the key nor answers.
-        if self._halted(node_id, done):
-            return
+            cost = self._costs.sender_secret
         key = state.neighbors[sender].key
-        if key is not None and key != prev_key:
-            self._emit(done, EV_KEY_ESTABLISHED, node_id, sender, {"key": key.hex()})
+        if key == prev_key:
+            key = None
+        if key is not None or ack is not None:
+            self._push(now + cost, EventKind.SECRET_DONE, node_id, (sender, key, ack))
+
+    def _handle_secret_done(self, node_id: int, now: float, payload: object) -> None:
+        """Record the key and send the ACK a finished secret computation
+        yields; a node that halted while computing does neither."""
+        if self._halted(node_id, now):
+            return
+        sender, key, ack = payload
+        if key is not None:
+            self._emit(now, EV_KEY_ESTABLISHED, node_id, sender, {"key": key.hex()})
         if ack is not None:
-            self._emit(done, EV_ACK_TX, node_id, sender, {"len": ack.packet_len})
-            self._send(done, node_id, sender, ack)
+            self._emit(now, EV_ACK_TX, node_id, sender, {"len": ack.packet_len})
+            self._send(now, node_id, sender, ack)
 
     def _handle_mobility_tick(self, _node: int, now: float, _payload: None) -> None:
         cfg = self.config
@@ -537,13 +551,13 @@ class Simulation:
         heap = self._heap
         duration = self.config.duration
         # Indexed by EventKind.
-        handlers = (self._handle_beacon_timer, self._handle_delivery,
-                    self._handle_mobility_tick, self._handle_route_probe)
+        handlers = (self._handle_beacon_timer, self._handle_secret_done,
+                    self._handle_delivery, self._handle_mobility_tick,
+                    self._handle_route_probe)
         while heap and heap[0][0] <= duration:
             at, kind, node, _seq, payload = heapq.heappop(heap)
             handlers[kind](node, at, payload)
-        # Cost-shifted effects are emitted out of order; re-sort stably.
-        trace = Trace(sorted(self._trace, key=attrgetter("t")))
+        trace = Trace(self._trace)
         metrics = compute_metrics(
             trace, radio_range=self.config.radio_range, duration=duration)
         return trace, metrics

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from beaconkx import cli
 from beaconkx.cli import REFERENCE_NS, golden_vector_lines, main, run_bench
 from beaconkx.dh import MAX_MODULUS_BITS
-from beaconkx.sim import MAX_SAMPLES, MAX_VEHICLES
+from beaconkx.sim import MAX_PRIME_SEARCHES, MAX_SAMPLES, MAX_VEHICLES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -286,6 +287,29 @@ class TestBenchCommand:
     ])
     def test_bad_flags_exit_2(self, flags, capsys):
         assert main(["bench", *flags]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--bits", "2048", "--trials", "1000"],
+        ["--bits", "16", "--trials", str(MAX_PRIME_SEARCHES + 1)],
+    ])
+    def test_too_many_trials_exit_2_before_any_search(self, flags, monkeypatch, capsys):
+        def no_search(*_args):
+            raise AssertionError("prime search started")
+
+        monkeypatch.setattr(cli, "generate_dh_params", no_search)
+        assert main(["bench", *flags]) == 2
+        assert "--trials" in capsys.readouterr().err
+
+    def test_default_trials_at_the_largest_group_are_accepted(self, monkeypatch):
+        ran = []
+
+        def stub(bits, trials, seed):
+            ran.append((bits, trials))
+            return cli.BenchResult(bits, trials, 1, 1, 1)
+
+        monkeypatch.setattr(cli, "run_bench", stub)
+        assert main(["bench", "--bits", str(MAX_MODULUS_BITS)]) == 0
+        assert ran == [(MAX_MODULUS_BITS, 10)]
 
     def test_result_object_consistency(self):
         result = run_bench(bits=32, trials=3, seed=7)

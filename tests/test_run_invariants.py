@@ -96,27 +96,24 @@ def receptions_problems(records, cfg: SimConfig) -> list[str]:
     """Every rx at t has a tx of its kind by ``peer`` at t - prop_delay, and
     the receiver lies within range of where that tx was written.
 
-    A tx record holds the sender's position when the engine decides who
-    hears it: the send instant for a beacon, and for an ACK the beacon's
-    arrival, ``receiver_secret`` before the ACK's instant. The receiver may
-    move on every mobility tick from then to its rx.
+    A tx record holds the sender's position at the send instant, when the
+    engine decides who hears it. The receiver may move on every mobility
+    tick from then to its rx.
     """
     beacons = by_pair(records, EV_BEACON_TX)
     acks = by_pair(records, EV_ACK_TX)
-    ack_cost = cfg.crypto_costs.receiver_secret if cfg.crypto_costs else 0.0
     problems = []
     for rec in records:
         if rec.ev == EV_BEACON_RX:
-            origin, decided = match(beacons[(rec.peer, None)], rec.t - cfg.prop_delay), 0.0
+            origin = match(beacons[(rec.peer, None)], rec.t - cfg.prop_delay)
         elif rec.ev == EV_ACK_RX:
             origin = match(acks[(rec.peer, rec.node)], rec.t - cfg.prop_delay)
-            decided = ack_cost
         else:
             continue
         if origin is None:
             problems.append(f"{rec}: no transmission")
             continue
-        ticks = math.floor((cfg.prop_delay + decided) / MOBILITY_TICK_INTERVAL) + 1
+        ticks = math.floor(cfg.prop_delay / MOBILITY_TICK_INTERVAL) + 1
         drift = ticks * cfg.speed_range[1] * MOBILITY_TICK_INTERVAL
         d = math.hypot(origin[0] - rec.pos[0], origin[1] - rec.pos[1])
         if d > cfg.radio_range + drift + DISTANCE_TOLERANCE:

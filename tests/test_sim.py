@@ -15,6 +15,7 @@ from beaconkx.sim import (
     MAX_PRIME_SEARCHES,
     MAX_SAMPLES,
     MAX_VEHICLES,
+    MOBILITY_TICK_INTERVAL,
     ConfigError,
     CryptoCosts,
     EventKind,
@@ -762,3 +763,32 @@ class TestCryptoCosts:
         first_tx = min((r for r in trace if r.ev == EV_BEACON_TX),
                        key=lambda r: r.t)
         assert first_tx.t == first_tx.extra["timer_at"]
+
+    def test_ack_leaves_from_where_its_sender_is_when_its_secret_is_done(self):
+        # 90 m apart at range 100 m, separating at 80 m/s: in range until
+        # the second mobility tick, long before a 0.5-s secret ends.
+        cfg = SimConfig(n_vehicles=2, area=(1000.0, 1000.0),
+                        placements=((455.0, 500.0), (545.0, 500.0)),
+                        speed_range=(40.0, 40.0), radio_range=100.0, duration=3.0,
+                        node_config=NodeConfig(beacon_interval=0.2),
+                        crypto_costs=CryptoCosts(0.0, 0.0, 0.5), **FAST_DH)
+        sim = Simulation(cfg)
+        velocity = {1: -40.0, 2: 40.0}
+        for node_id, vx in velocity.items():
+            sim.vehicles[node_id].vx, sim.vehicles[node_id].vy = vx, 0.0
+        trace, _ = sim.run()
+        ticks, at = [], MOBILITY_TICK_INTERVAL
+        while at <= cfg.duration:
+            ticks.append(at)
+            at += MOBILITY_TICK_INTERVAL
+
+        def x_at(node_id, t):
+            moved = sum(tick < t for tick in ticks) * MOBILITY_TICK_INTERVAL
+            return cfg.placements[node_id - 1][0] + velocity[node_id] * moved
+
+        acks = [r for r in trace if r.ev == EV_ACK_TX]
+        assert acks
+        for rec in acks:
+            assert rec.pos == pytest.approx((x_at(rec.node, rec.t), 500.0))
+        apart = next(t for t in ticks if x_at(2, t + 1e-9) - x_at(1, t + 1e-9) > 100.0)
+        assert [r for r in trace if r.ev == EV_ACK_RX and r.t >= apart] == []

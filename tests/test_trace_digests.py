@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of the trace and metrics of five fixed runs.
+"""Pinned SHA-256 digests of the trace and metrics of six fixed runs.
 
 These are the refactor oracle: a change to the engine that is meant to
 leave behaviour alone must leave every digest below unchanged. A change
@@ -35,7 +35,10 @@ CONFIGS = {
         speed_range=(0.0, 0.0), loss_rate=0.0,
         node_config=NodeConfig(beacon_interval=1.0), seed=2026,
         duration=12.0, halts=((7, 4.2),)),
-    # mobile, lossy, one group per node, simulated crypto costs
+    # mobile, lossy, one group per node, simulated crypto costs;
+    # rebaselined when the end of a secret computation became its own
+    # event, so an ACK's reach, its loss draws and the ack_tx and
+    # key_established positions are those of the ACK's own instant
     "pernode_costs": SimConfig(
         n_vehicles=8, area=(400.0, 400.0), radio_range=250.0,
         speed_range=(5.0, 15.0), mobility=Mobility.CONSTANT_VELOCITY,
@@ -56,6 +59,13 @@ CONFIGS = {
                                interval_min=0.4, interval_max=2.5),
         halts=((5, 3.5),),
         probes=(RouteProbe(at=6.0, src=1, dest=Position(480.0, 480.0)),)),
+    # one shared group with simulated crypto costs, fast vehicles and
+    # loss: secrets long enough for a pair to part before the ACK leaves
+    "global_costs": SimConfig(
+        n_vehicles=12, area=(300.0, 300.0), radio_range=100.0,
+        speed_range=(20.0, 20.0), mobility=Mobility.CONSTANT_VELOCITY,
+        duration=8.0, loss_rate=0.1, seed=7, dh_bits=64,
+        crypto_costs=CryptoCosts(0.1, 0.5, 0.5)),
 }
 
 DIGESTS = {
@@ -64,11 +74,13 @@ DIGESTS = {
     "criterion_6_halt":
         "1e2669a32a63d6da22453e343a5429a85c4faa123045ace97bb4b756fde6dfde",
     "pernode_costs":
-        "aba185ccfc9fee91c7c507f8392259521eb4537218127d80bf7fb7d6bfac76e6",
+        "eeb0a7bd6700f70c810e970ebe5d75cc1bdb89d61974594da90fd4a8bb85b212",
     "sparse_fleet":
         "f1dccce61b1775130d679103704be5fd49f6f1e58a4e630ae0fb174b93cdabab",
     "adaptive_halt_probe":
         "eb4c7daeb37941a170e9ec7960fd446fb7137f6bccdfe3b821e983ba31568ce5",
+    "global_costs":
+        "0fb76f4b83b7cd3b9a1abc6b4187f0d5ce0dea6f286091541a93de6c20ed6e22",
 }
 
 
