@@ -7,11 +7,15 @@ value ``S = w^(a*b) mod p`` from the peer's public number. The shared
 value is then flattened into a fixed 16-octet symmetric key.
 
 Public values use a fixed-base windowed table kept on each group
-object (Handbook of Applied Cryptography, §14.6.3): ``w`` and ``p``
-never change within a group, so once a group has made a few key pairs
-it tabulates ``w^(d * 16^i) mod p`` and each later pair costs about one
-multiplication per four exponent bits. Everything else, the secrets,
-Miller-Rabin and :func:`mod_exp`, is builtin ``pow``.
+object (Handbook of Applied Cryptography, §14.6.3, Algorithm 14.109):
+``w`` and ``p`` never change within a group, so once a group has done
+``FIXED_BASE_AFTER`` exponentiations it keeps ``w^(16^i) mod p`` for
+each row ``i``, and a power of ``w`` costs about one multiplication per
+four exponent bits plus 30. A shared secret ``Y^x`` comes from that table too when the
+caller knows ``y`` with ``Y = w^y``, as ``w^(x*y mod (p-1))``: the two
+are equal whenever ``w^(p-1) = 1 (mod p)``, which holds for every prime
+``p`` and is checked once per group. Other secrets, Miller-Rabin and
+:func:`mod_exp` are builtin ``pow``.
 
 All randomness flows through a caller-supplied ``random.Random`` so that
 parameter and key generation are reproducible from a seed. That makes
@@ -34,16 +38,19 @@ DEFAULT_PRIMALITY_ROUNDS = 40
 MIN_MODULUS_BITS = 16
 MAX_MODULUS_BITS = 2048
 
-# Exponent bits per row of a group's fixed-base table. Timed on a 2-vCPU
-# Xeon VM: a 256-bit pair takes 64 us at 4 bits against 221 us by pow,
-# and the table costs about 4 pows to build at any size; 5 or 6 bits
-# save a little per pair but build for 6-11 pows.
+# Exponent bits per row of a group's fixed-base table, which holds one
+# power of w per row: w^(16^i) for 4 bits. Timed on a 2-vCPU Xeon VM, a
+# power from the table takes 43 us at 256 bits and 213 us at 512,
+# against 223 and 1060 us by pow; 3 bits is slower at both sizes, 5
+# ties at 512, and 6 pays off only from 2048 bits (5.7 against 7.2 ms).
 FIXED_BASE_WINDOW = 4
-# Key pairs a group computes with builtin pow before it builds its
-# table on the next one (ski rental): the table is worth about this many
-# pows, so a group used once or twice, as each per-node group is, never
-# pays for one, and a busy group pays at most twice the best price.
-FIXED_BASE_AFTER = 4
+# Exponentiations a group does with builtin pow before it builds its
+# table on the next one (ski rental). The build squares w once per
+# exponent bit, about one pow at any size, and a power from the table
+# then costs about 0.3 pow: a group used once never pays for a table
+# (a per-node group at set-up), and one used more often pays at most
+# about 1.5 times the best price, at two uses.
+FIXED_BASE_AFTER = 1
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -82,44 +89,69 @@ class DhParams:
 
 
 class _FixedBase:
-    """``w^x mod p`` for one group: builtin ``pow`` for the first
-    ``FIXED_BASE_AFTER`` calls, then a table of ``w^(d * 2^(k*i)) mod p``
-    for ``k = FIXED_BASE_WINDOW``, every digit ``d`` and row ``i``."""
+    """Powers of one group's base ``w``: builtin ``pow`` for the group's
+    first ``FIXED_BASE_AFTER`` exponentiations, then a table of one
+    power ``w^(2^(k*i)) mod p`` per row ``i``, for ``k = FIXED_BASE_WINDOW``
+    (Handbook of Applied Cryptography, Algorithm 14.109)."""
 
     def __init__(self, p: int, w: int) -> None:
         self.p = p
         self.w = w
         self.calls = 0
-        self.rows: list[list[int]] = []
+        self.rows: list[int] = []
 
     def power(self, exponent: int) -> int:
         """``w^exponent mod p`` for ``0 <= exponent < p``."""
-        p = self.p
         self.calls += 1
         if self.calls <= FIXED_BASE_AFTER:
-            return pow(self.w, exponent, p)
+            return pow(self.w, exponent, self.p)
+        return self._from_table(exponent)
+
+    def secret(self, peer_public: int, own_private: int, peer_private: int) -> int:
+        """``peer_public^own_private mod p``, where ``peer_public`` is
+        ``w^peer_private mod p``: from the table as
+        ``w^(own_private * peer_private mod (p-1))``, the same value
+        whenever ``w^(p-1) = 1``, or else by builtin ``pow``."""
+        p = self.p
+        self.calls += 1
+        if self.calls > FIXED_BASE_AFTER and self._reducible:
+            return self._from_table(own_private * peer_private % (p - 1))
+        return pow(peer_public, own_private, p)
+
+    @cached_property
+    def _reducible(self) -> bool:
+        # Whether exponents of w may be reduced mod p-1: always for a
+        # prime p (Fermat), not for every composite one.
+        return self._from_table(self.p - 1) == 1
+
+    def _from_table(self, exponent: int) -> int:
+        p = self.p
         if not self.rows:
             self.rows = self._build()
         mask = (1 << FIXED_BASE_WINDOW) - 1
-        result = 1
+        # buckets[d] is the product of the rows whose digit is d, and
+        # w^exponent the product of every buckets[d]^d: the suffix
+        # products of the buckets, multiplied together.
+        buckets = [1] * (mask + 1)
         for row in self.rows:
             digit = exponent & mask
             if digit:
-                result = result * row[digit] % p
+                buckets[digit] = buckets[digit] * row % p
             exponent >>= FIXED_BASE_WINDOW
+        result = suffix = 1
+        for bucket in buckets[:0:-1]:
+            suffix = suffix * bucket % p
+            result = result * suffix % p
         return result
 
-    def _build(self) -> list[list[int]]:
-        # Row i holds w^(d * 2^(k*i)) at index d; enough rows cover every
-        # exponent below p.
-        p, base = self.p, self.w
+    def _build(self) -> list[int]:
+        # Row i holds w^(2^(k*i)); enough rows cover every exponent below p.
+        p, power = self.p, self.w
         rows = []
         for _ in range(-(-p.bit_length() // FIXED_BASE_WINDOW)):
-            row = [1, base]
-            for _ in range((1 << FIXED_BASE_WINDOW) - 2):
-                row.append(row[-1] * base % p)
-            rows.append(row)
-            base = row[-1] * base % p
+            rows.append(power)
+            for _ in range(FIXED_BASE_WINDOW):
+                power = power * power % p
         return rows
 
 
@@ -219,7 +251,8 @@ def keypair_from_private(params: DhParams, private_exponent: int) -> DhKeyPair:
     """Build the key pair for a known secret exponent (range-checked).
 
     The public value comes from the group's fixed-base table once the
-    group has made ``FIXED_BASE_AFTER`` pairs, and equals ``pow(w, x, p)``.
+    group has done ``FIXED_BASE_AFTER`` exponentiations, and equals
+    ``pow(w, x, p)``.
     """
     if not 2 <= private_exponent <= params.p - 2:
         raise DhError(
@@ -228,18 +261,26 @@ def keypair_from_private(params: DhParams, private_exponent: int) -> DhKeyPair:
     return DhKeyPair(private_exponent=private_exponent, public_value=public)
 
 
-def compute_shared_secret(params: DhParams, own_private: int,
-                          peer_public: int) -> int:
+def compute_shared_secret(params: DhParams, own_private: int, peer_public: int,
+                          peer_private: int | None = None) -> int:
     """Raise the peer's public value to our secret exponent: ``S`` in ``[0, p)``.
 
     Peer values of 0, 1 and p-1 are rejected along with anything outside
     (0, p): they force the secret into {0, 1, p-1} regardless of our
     exponent, so accepting them would let a sender choose the key.
+
+    A caller that knows the peer's exponent ``y``, with ``peer_public =
+    w^y mod p``, may pass it as ``peer_private``: the secret then comes
+    from the group's fixed-base table as ``w^(x*y mod (p-1))`` once the
+    group has one and ``w^(p-1) = 1`` holds in it, and equals ``pow``'s.
     """
     if not 2 <= peer_public <= params.p - 2:
         raise DhError(
             f"peer public value must be in [2, p-2], got {peer_public}")
-    return mod_exp(peer_public, own_private, params.p)
+    if peer_private is None or own_private < 0:
+        # mod_exp rejects a negative exponent.
+        return mod_exp(peer_public, own_private, params.p)
+    return params._fixed_base.secret(peer_public, own_private, peer_private)
 
 
 def derive_symmetric_key(secret: int) -> bytes:

@@ -27,15 +27,20 @@ A responder answers with its own key pair only inside its own group; in
 any other it uses a pair kept per peer, whatever its mode, so both ends
 derive one key. ACKs always carry a bare public value.
 
-Keys derived from shared secrets live in a :class:`SecretMemo` that a
-simulation shares across its fleet, keyed by the inputs of the
-exponentiation ``(p, own private exponent, peer public value)``. Both
-ends of an exchange need the same value, since ``Y^x = X^y`` when
-``X = w^x`` and ``Y = w^y``, so the end that computes it first also
-stores it under the other end's inputs. That mirror entry is written
-only for key pairs the program generated itself, in one group, and only
-when the other end's peer value passes the range check; anything else
-is computed, and checked, on every arrival.
+Groups and keys live in a :class:`SecretMemo` that a simulation shares
+across its fleet. It holds one group object per ``(p, w)``, so a beacon
+that names a group reads it from there, and every key pair and secret
+in a group uses that object's fixed-base table. Keys derived from
+shared secrets are kept by the inputs of the exponentiation ``(p, own
+private exponent, peer public value)``. Both ends of an exchange need
+the same value, since ``Y^x = X^y`` when ``X = w^x`` and ``Y = w^y``, so
+the end that computes it first also stores it under the other end's
+inputs. The program knows ``y`` for every key pair it generated, so an
+exchange with such a pair is computed from the group's table, as
+``w^(x*y mod (p-1))``. The mirror entry is written only when both pairs
+are the program's own, in one group, and only when the other end's peer
+value passes the range check; anything else is computed, and checked,
+on every arrival.
 """
 
 from __future__ import annotations
@@ -96,20 +101,37 @@ class NeighborEntry:
 
 
 class SecretMemo:
-    """Keys derived from shared secrets, by the exponentiation's inputs.
+    """The groups, key pairs and exchange keys a fleet shares.
 
-    ``register`` records each key pair the program generates under
-    ``(p, w, public)``. ``key`` returns the key of ``pow(peer_public,
-    own private, p)``, computing it on a miss; when both public values
-    are registered in the exchange's group, it also stores the key under
-    the peer's inputs ``(p, y, X)``, because ``X^y = Y^x``. The peer's
-    range check on ``X`` is applied before that, so the mirror entry
-    answers exactly as ``compute_shared_secret`` would.
+    ``share`` and ``group`` hand out one ``DhParams`` object per ``(p,
+    w)``, so one fixed-base table serves every key pair and secret in a
+    group. ``register`` records each key pair the program generates under
+    ``(p, w, public)``. ``key`` returns the key of ``pow(peer_public, own
+    private, p)``, computing it on a miss; when ``peer_public`` is
+    registered in the exchange's group, it passes that pair's exponent
+    ``y`` to ``compute_shared_secret``, which can then use the group's
+    table. When both public values are registered, it also stores the key
+    under the peer's inputs ``(p, y, X)``, because ``X^y = Y^x``. The
+    peer's range check on ``X`` is applied before that, so the mirror
+    entry answers exactly as ``compute_shared_secret`` would.
     """
 
     def __init__(self) -> None:
+        self._groups: dict[tuple[int, int], DhParams] = {}
         self._private: dict[tuple[int, int, int], int] = {}
         self._keys: dict[tuple[int, int, int], bytes] = {}
+
+    def share(self, params: DhParams) -> DhParams:
+        """The fleet's object for ``params``' group: the first one shared."""
+        return self._groups.setdefault((params.p, params.w), params)
+
+    def group(self, p: int, w: int) -> DhParams:
+        """The fleet's object for the group ``(p, w)``, made on first use.
+
+        Raises:
+            DhError: if ``w`` is outside ``[2, p)``.
+        """
+        return self._groups.get((p, w)) or self.share(DhParams(p, w))
 
     def register(self, params: DhParams, keypair: DhKeyPair) -> None:
         self._private[(params.p, params.w, keypair.public_value)] = (
@@ -125,13 +147,13 @@ class SecretMemo:
         key = self._keys.get((p, x, peer_public))
         if key is not None:
             return key
+        private = self._private
+        y = private.get((p, params.w, peer_public))
         try:
-            secret = compute_shared_secret(params, x, peer_public)
+            secret = compute_shared_secret(params, x, peer_public, y)
         except DhError:
             return None
         key = self._keys[(p, x, peer_public)] = derive_symmetric_key(secret)
-        private = self._private
-        y = private.get((p, params.w, peer_public))
         if (y is not None and private.get((p, params.w, own_public)) == x
                 and 2 <= own_public <= p - 2):
             self._keys[(p, y, own_public)] = key
@@ -179,7 +201,15 @@ class NodeConfig:
 
 @dataclass
 class NodeState:
-    """Everything one vehicle knows: identity, position, keys, neighbors."""
+    """Everything one vehicle knows: identity, position, keys, neighbors.
+
+    A beacon is answered with ``keypair`` when the group it names is
+    ``dh_params``, and otherwise with a pair drawn for that peer in the
+    peer's group. Nodes made by :func:`make_node` with one memo share one
+    object per group, so a version-2 beacon whose group equals the
+    receiver's own, as when two per-node groups are drawn equal, is
+    answered with ``keypair`` too.
+    """
 
     node_id: int
     own_position: Position
@@ -195,10 +225,10 @@ class NodeState:
     # the same key; keyed by peer id.
     _responder_keys: dict[int, tuple[DhParams, DhKeyPair]] = field(
         default_factory=dict, repr=False)
-    # Keys of the exchanges done so far; a simulation shares one memo
-    # across its fleet. In per-node mode an entry alternates between the
-    # exchange in our group and the one in the peer's; each flip is a
-    # lookup here.
+    # Groups and the keys of the exchanges done so far; a simulation
+    # shares one memo across its fleet. In per-node mode an entry
+    # alternates between the exchange in our group and the one in the
+    # peer's; each flip is a lookup here.
     memo: SecretMemo = field(default_factory=SecretMemo, repr=False)
 
     # ------------------------------------------------------------------
@@ -336,7 +366,7 @@ class NodeState:
         """
         try:
             *group, public = read_payload(pkt.version, pkt.ptype, pkt.public_value)
-            return (DhParams(*group) if group else self.dh_params), public
+            return (self.memo.group(*group) if group else self.dh_params), public
         except (DecodeError, DhError):
             return None, None
 
@@ -367,11 +397,13 @@ def make_node(node_id: int, position: Position, config: NodeConfig,
     """Stand up a node in the group ``params`` with a key pair drawn from ``rng``.
 
     The caller picks the group: one shared by the fleet in global mode,
-    the node's own in per-node mode. Nodes given one ``memo`` share their
-    exchanges' keys; without one the node gets its own.
+    the node's own in per-node mode. Nodes given one ``memo`` share one
+    object per group and their exchanges' keys; without one the node
+    gets its own.
     """
-    keypair = generate_keypair(params, rng)
     memo = SecretMemo() if memo is None else memo
+    params = memo.share(params)
+    keypair = generate_keypair(params, rng)
     memo.register(params, keypair)
     return NodeState(
         node_id=node_id,

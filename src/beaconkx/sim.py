@@ -87,10 +87,11 @@ MAX_SAMPLES = 10**4
 # alone takes minutes.
 MAX_PRIME_SEARCHES = 2000
 # A 512-bit key pair from its group's fixed-base table, in searches:
-# 0.30 ms against a 78-ms search on a 2-vCPU Xeon VM, growing to 10.3 ms
-# at 2048 bits. A per-node group makes its one pair with pow, 4x dearer
-# but still under 2 % of that group's own search.
-KEYPAIR_SEARCHES = 1 / 250
+# 0.31-0.34 ms against a 78-ms search on a 2-vCPU Xeon VM, and 9.7 ms at
+# 2048 bits, under the 10.9 ms the growth below allows. A per-node group
+# makes its one pair with pow, about 1.1 ms, still under 2 % of that
+# group's own search.
+KEYPAIR_SEARCHES = 1 / 230
 
 
 def prime_searches(dh_bits: int, groups: int, keypairs: int) -> float:

@@ -166,19 +166,37 @@ class TestFixedBaseTable:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_keypair_equals_pow_before_and_after_the_table(self, data):
         # Any modulus will do for the arithmetic; widths that are not a
-        # multiple of the window leave a short top row.
+        # multiple of the window leave a short top digit. Half the moduli
+        # up to 256 bits are prime, where secrets come from the table; a
+        # composite one may fail w^(p-1) = 1, and its secrets must still
+        # be pow's.
         bits = data.draw(st.one_of(
             st.integers(16, 1024),
             st.sampled_from([16, 17, 255, 256, 257, 1023, 1024])))
         p = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        if bits <= 256 and data.draw(st.booleans()) and sympy.prevprime(p) >> (bits - 1):
+            p = sympy.prevprime(p)
         params = DhParams(p=p, w=data.draw(st.integers(2, p - 1)))
+        w = params.w
         middle = data.draw(st.lists(st.integers(2, p - 2), min_size=FIXED_BASE_AFTER,
                                     max_size=FIXED_BASE_AFTER + 4))
         # The edges go first, through pow, and last, through the table.
         for x in [2, p - 2, *middle, 2, p - 2]:
-            assert keypair_from_private(params, x).public_value == pow(params.w, x, p)
+            assert keypair_from_private(params, x).public_value == pow(w, x, p)
         rows = params._fixed_base.rows
         assert len(rows) == -(-bits // FIXED_BASE_WINDOW)
+        assert rows[-1] == pow(w, 1 << (FIXED_BASE_WINDOW * (len(rows) - 1)), p)
+        x, y = data.draw(st.integers(0, p)), data.draw(st.integers(2, p - 2))
+        peer_public = pow(w, y, p)
+        if 2 <= peer_public <= p - 2:
+            assert compute_shared_secret(params, x, peer_public, y) == pow(peer_public, x, p)
+        assert params._fixed_base._reducible is (pow(w, p - 1, p) == 1)
+
+    def test_one_power_of_w_per_row(self):
+        params = DhParams(p=23, w=5)
+        for x in range(2, 3 + FIXED_BASE_AFTER):
+            keypair_from_private(params, x)
+        assert params._fixed_base.rows == [5, pow(5, 16, 23)]
 
     def test_first_pairs_use_pow_then_one_table(self):
         params = generate_dh_params(64, random.Random(5))
@@ -190,6 +208,31 @@ class TestFixedBaseTable:
         assert rows
         keypair_from_private(params, 100)
         assert params._fixed_base.rows is rows
+
+    def test_secrets_count_towards_the_table(self):
+        params = generate_dh_params(64, random.Random(7))
+        peer_public = pow(params.w, 12345, params.p)
+        for x in range(2, 2 + FIXED_BASE_AFTER):
+            compute_shared_secret(params, x, peer_public, 12345)
+        assert params._fixed_base.rows == []
+        secret = compute_shared_secret(params, 99, peer_public, 12345)
+        assert secret == pow(peer_public, 99, params.p)
+        assert params._fixed_base.rows
+        assert params._fixed_base.calls == 1 + FIXED_BASE_AFTER
+
+    def test_secret_without_the_peer_exponent_leaves_the_group_alone(self):
+        params = generate_dh_params(64, random.Random(7))
+        for x in range(2, 4 + FIXED_BASE_AFTER):
+            compute_shared_secret(params, x, 5)
+        assert vars(params) == {"p": params.p, "w": params.w}
+
+    def test_negative_exponent_is_rejected_on_both_paths(self):
+        params = DhParams(p=23, w=5)
+        for _ in range(FIXED_BASE_AFTER + 1):
+            keypair_from_private(params, 6)
+        for peer_private in (None, 6):
+            with pytest.raises(DhError):
+                compute_shared_secret(params, -3, 8, peer_private)
 
     def test_table_keeps_equality_hash_and_repr(self):
         params = generate_dh_params(64, random.Random(6))

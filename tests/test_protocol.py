@@ -16,6 +16,7 @@ from beaconkx.codec import (
     magnitude_to_int,
 )
 from beaconkx.dh import (
+    FIXED_BASE_AFTER,
     DhKeyPair,
     DhParams,
     derive_symmetric_key,
@@ -316,9 +317,9 @@ class TestFleetMemo:
         calls = []
         original = protocol.compute_shared_secret
 
-        def recorded(params, own_private, peer_public):
-            calls.append((params.p, own_private, peer_public))
-            return original(params, own_private, peer_public)
+        def recorded(params, own_private, peer_public, peer_private=None):
+            calls.append((params.p, own_private, peer_public, peer_private))
+            return original(params, own_private, peer_public, peer_private)
 
         monkeypatch.setattr(protocol, "compute_shared_secret", recorded)
         return calls
@@ -329,7 +330,7 @@ class TestFleetMemo:
         b = fleet_node(2, TEXTBOOK_PARAMS, 15, memo)
         ack = b.on_receive_beacon(a.on_timer_beacon(0.0), 0.1)
         a.on_receive_ack(ack, 0.2)
-        assert secret_calls == [(23, 15, 8)]
+        assert secret_calls == [(23, 15, 8, 6)]
         assert a.neighbors[2].key == b.neighbors[1].key == derive_symmetric_key(
             pow(8, 15, 23))
 
@@ -348,7 +349,10 @@ class TestFleetMemo:
             ack = a.on_receive_beacon(b.on_timer_beacon(t), t + 0.1)
             b.on_receive_ack(ack, t + 0.2)
             assert b.neighbors[1].key is None
-        assert secret_calls.count((23, b_private, a_public)) == 3
+        # The group has its table, and the registered value still takes
+        # the range check each time.
+        assert params._fixed_base.rows
+        assert secret_calls.count((23, b_private, a_public, a_private)) == 3
 
     def test_foreign_group_beacon_in_global_mode_agrees_on_a_key(self, secret_calls):
         # A global-mode node answers a beacon in another group (same p,
@@ -366,7 +370,7 @@ class TestFleetMemo:
         b.on_receive_ack(ack, 0.2)
         key = derive_symmetric_key(pow(7, 2 * responder.private_exponent, 23))
         assert a.neighbors[2].key == b.neighbors[1].key == key
-        assert secret_calls == [(23, responder.private_exponent, 3)]
+        assert secret_calls == [(23, responder.private_exponent, 3, 2)]
 
     def test_same_p_another_w_is_not_mirrored(self, secret_calls):
         # Node 1's 8 = 5^6 is registered in the 23/5 group, not in 23/7, so
@@ -381,7 +385,7 @@ class TestFleetMemo:
             pow(8, 2, 23))
         assert memo.key(TEXTBOOK_PARAMS, a, b.public_value) == derive_symmetric_key(
             pow(3, 6, 23))
-        assert secret_calls == [(23, 2, 8), (23, 6, 3)]
+        assert secret_calls == [(23, 2, 8, None), (23, 6, 3, None)]
 
     def test_unregistered_own_pair_is_not_mirrored(self, secret_calls):
         # 9 is not 5^6: a mirror written for node 1's pair would be wrong.
@@ -390,8 +394,27 @@ class TestFleetMemo:
         b = fleet_node(2, TEXTBOOK_PARAMS, 15, memo)
         ack = a.on_receive_beacon(b.on_timer_beacon(0.0), 0.1)
         b.on_receive_ack(ack, 0.2)
-        assert secret_calls == [(23, 6, 19), (23, 15, 9)]
+        assert secret_calls == [(23, 6, 19, 15), (23, 15, 9, None)]
+        assert a.neighbors[2].key == derive_symmetric_key(pow(19, 6, 23))
         assert b.neighbors[1].key == derive_symmetric_key(pow(9, 15, 23))
+
+    def test_composite_modulus_stays_on_pow(self, secret_calls):
+        # 2^20 = 4 (mod 21), so the table's w^(x*y mod 20) is not pow's
+        # value: the group fails its check and its secrets use pow.
+        params = DhParams(21, 2)
+        memo = SecretMemo()
+        a = fleet_node(1, params, 4, memo)
+        b = fleet_node(2, params, 5, memo)
+        for _ in range(FIXED_BASE_AFTER):
+            keypair_from_private(params, 2)
+        ack = b.on_receive_beacon(a.on_timer_beacon(0.0), 0.1)
+        a.on_receive_ack(ack, 0.2)
+        key = derive_symmetric_key(pow(11, 4, 21))
+        assert derive_symmetric_key(pow(2, 20 % 20, 21)) != key
+        assert a.neighbors[2].key == b.neighbors[1].key == key
+        assert params._fixed_base.rows
+        assert params._fixed_base._reducible is False
+        assert secret_calls == [(21, 5, 16, 4)]
 
 
 class TestExpiry:

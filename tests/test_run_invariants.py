@@ -1,10 +1,13 @@
-"""Invariants of whole runs, checked from the trace file alone.
+"""Invariants of whole runs, checked from the trace file alone, and
+the trace's keys checked against the run's key pairs.
 
 Small random configs cover both DH modes, crypto costs, adaptive
 beaconing, both mobility models, loss, halts and probes. Each run's
 trace text must replay to the run's own metrics, and every record in it
 must follow from the model: a reception from a transmission in range, an
-ACK from a beacon heard, and in a shared group one key per pair.
+ACK from a beacon heard, and in a shared group one key per pair. Every
+recorded key must be one that builtin ``pow`` gives for an exchange
+between the two nodes' key pairs.
 """
 
 import math
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 from beaconkx.codec import Position
 from beaconkx.metrics import compute_metrics
 from beaconkx.protocol import DhMode, NodeConfig
-from beaconkx.sim import MOBILITY_TICK_INTERVAL, CryptoCosts, Mobility, RouteProbe, SimConfig, run
+from beaconkx.sim import (MOBILITY_TICK_INTERVAL, CryptoCosts, Mobility, RouteProbe, SimConfig,
+                          Simulation, run)
 from beaconkx.trace import (
     EV_ACK_RX,
     EV_ACK_TX,
@@ -157,3 +161,52 @@ def test_run_invariants_hold_in_the_trace_file(cfg):
     if cfg.dh_mode is DhMode.GLOBAL_PARAMS:
         assert {pair: keys for pair, keys in keys_per_pair(records).items()
                 if len(keys) > 1} == {}
+
+
+def pow_key(peer_public: int, own_private: int, p: int) -> str:
+    """The 16 low octets of ``peer_public^own_private mod p``, as hex."""
+    return (pow(peer_public, own_private, p) % (1 << 128)).to_bytes(16, "big").hex()
+
+
+def answering_pair(node, peer_id: int, params):
+    """``node``'s key pair inside ``params``: its own in its own group, else
+    the one it keeps for answering ``peer_id``, if it made one."""
+    if node.dh_params == params:
+        return node.keypair
+    group, pair = node._responder_keys.get(peer_id, (None, None))
+    return pair if group == params else None
+
+
+def key_problems(records, nodes) -> list[str]:
+    """Every ``key_established`` key of A for B is pow's key of A's exchange
+    in its own group, which B answered, or of A's answer in B's group."""
+    problems = []
+    for node_id, node in nodes.items():
+        pairs = [(node.dh_params, node.keypair), *node._responder_keys.values()]
+        problems += [f"node {node_id}: {pair} is not a key pair of {params}"
+                     for params, pair in pairs
+                     if pow(params.w, pair.private_exponent, params.p) != pair.public_value]
+    for rec in records:
+        if rec.ev != EV_KEY_ESTABLISHED:
+            continue
+        a, b = nodes[rec.node], nodes[rec.peer]
+        expected = set()
+        b_answer = answering_pair(b, rec.node, a.dh_params)
+        if b_answer is not None:
+            expected.add(pow_key(b_answer.public_value, a.keypair.private_exponent,
+                                 a.dh_params.p))
+        a_answer = answering_pair(a, rec.peer, b.dh_params)
+        if a_answer is not None:
+            expected.add(pow_key(b.keypair.public_value, a_answer.private_exponent,
+                                 b.dh_params.p))
+        if rec.extra["key"] not in expected:
+            problems.append(f"{rec}: matches no exchange")
+    return problems
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cfg=sim_configs())
+def test_every_key_is_a_pow_key_of_the_two_nodes(cfg):
+    sim = Simulation(cfg)
+    trace, _metrics = sim.run()
+    assert key_problems(trace.records, sim.nodes) == []

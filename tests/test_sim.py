@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beaconkx.codec import BeaconPacket, PacketType, Position, decode_packet, encode_packet
-from beaconkx.dh import MAX_MODULUS_BITS, DhParams
+from beaconkx.dh import MAX_MODULUS_BITS, DhParams, derive_symmetric_key, generate_dh_params
 from beaconkx.grid import cell_side, pairs_in_range
 from beaconkx.metrics import SAMPLE_PERIOD
 from beaconkx.protocol import DhMode, NeighborEntry, NodeConfig, NodeState, make_node
@@ -90,7 +90,7 @@ class TestConfigValidation:
     def test_set_up_bound_counts_one_prime_search_per_group(self):
         # A 512-bit group weighs one search; a global group is one search
         # however many vehicles share it. Each vehicle's key pair adds
-        # 1/250 of a search at 512 bits.
+        # 1/230 of a search at 512 bits.
         per_node = dict(dh_mode=DhMode.PER_NODE_PARAMS, duration=1e-6)
         SimConfig(n_vehicles=1990, **per_node)
         with pytest.raises(ConfigError, match="sim.dh_bits"):
@@ -106,10 +106,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="sim.n_vehicles"):
             SimConfig(n_vehicles=MAX_VEHICLES, dh_bits=MAX_MODULUS_BITS, duration=1e-6)
         # 2048 bits weigh 4^3.5 = 128 searches for the group and
-        # 4^2.5 / 250 per pair: the budget holds 14625 pairs.
-        SimConfig(n_vehicles=14600, dh_bits=MAX_MODULUS_BITS, duration=1e-6)
-        with pytest.raises(ConfigError, match="sim.n_vehicles 14650"):
-            SimConfig(n_vehicles=14650, dh_bits=MAX_MODULUS_BITS, duration=1e-6)
+        # 4^2.5 / 230 per pair: the budget holds 13455 pairs.
+        SimConfig(n_vehicles=13400, dh_bits=MAX_MODULUS_BITS, duration=1e-6)
+        with pytest.raises(ConfigError, match="sim.n_vehicles 13500"):
+            SimConfig(n_vehicles=13500, dh_bits=MAX_MODULUS_BITS, duration=1e-6)
 
 
 class TestNumericValidation:
@@ -573,16 +573,17 @@ class TestExpiryOncePerTimer:
             assert set(state.neighbors) == tables[node_id], node_id
 
 
-def record_secret_calls(monkeypatch) -> list[tuple[DhParams, int, int]]:
-    """Patch the exponentiation ``protocol`` calls to record its inputs."""
+def record_secret_calls(monkeypatch) -> list[tuple[DhParams, int, int, int | None]]:
+    """Patch the exponentiation ``protocol`` calls to record its inputs,
+    the peer's exponent included (None when the value is not registered)."""
     import beaconkx.protocol as protocol
 
     calls = []
     original = protocol.compute_shared_secret
 
-    def recorded(params, own_private, peer_public):
-        calls.append((params, own_private, peer_public))
-        return original(params, own_private, peer_public)
+    def recorded(params, own_private, peer_public, peer_private=None):
+        calls.append((params, own_private, peer_public, peer_private))
+        return original(params, own_private, peer_public, peer_private)
 
     monkeypatch.setattr(protocol, "compute_shared_secret", recorded)
     return calls
@@ -594,7 +595,7 @@ def exchange_of(call) -> tuple[int, int, frozenset[int]]:
     ``Y^x`` depends only on ``X = w^x`` and ``Y``, so the two ends of one
     exchange map to the same value.
     """
-    params, own_private, peer_public = call
+    params, own_private, peer_public, _peer_private = call
     own_public = pow(params.w, own_private, params.p)
     return params.p, params.w, frozenset((own_public, peer_public))
 
@@ -626,9 +627,35 @@ class TestSecretMemo:
         n = self.ALL_IN_RANGE.n_vehicles
         assert len(calls) == n * (n - 1) // 2
         assert len({exchange_of(call) for call in calls}) == len(calls)
+        # Both ends are the program's own pairs, so every secret may use
+        # the group's table.
+        assert all(pow(params.w, y, params.p) == peer_public
+                   for params, _x, peer_public, y in calls)
         keyed = {(r.node, r.peer) for r in trace if r.ev == EV_KEY_ESTABLISHED}
         assert len(keyed) == n * (n - 1)
         assert trace.to_jsonl() == unpatched.to_jsonl()
+
+    def test_per_node_nodes_in_one_group_answer_with_their_own_pairs(self, monkeypatch):
+        # Two per-node groups drawn equal: the memo hands both nodes one
+        # group object, so a version-2 beacon in that group is answered
+        # with the receiver's own key pair, as in a shared group.
+        import beaconkx.sim as sim_module
+
+        group = generate_dh_params(64, random.Random(3))
+        monkeypatch.setattr(sim_module, "generate_dh_params",
+                            lambda bits, rng: DhParams(group.p, group.w))
+        cfg = line_config(50.0, 2, dh_mode=DhMode.PER_NODE_PARAMS, duration=3.0)
+        sim = Simulation(cfg)
+        one, two = sim.nodes[1], sim.nodes[2]
+        assert one.dh_params is two.dh_params
+        trace, _ = sim.run()
+        assert one._responder_keys == two._responder_keys == {}
+        assert any(r.ev == EV_ACK_TX for r in trace)
+        key = derive_symmetric_key(pow(two.keypair.public_value,
+                                       one.keypair.private_exponent, group.p))
+        assert one.neighbors[2].key == two.neighbors[1].key == key
+        keys = {r.extra["key"] for r in trace if r.ev == EV_KEY_ESTABLISHED}
+        assert keys == {key.hex()}
 
 
 class TestPacketHandOver:
