@@ -17,6 +17,14 @@ are equal whenever ``w^(p-1) = 1 (mod p)``, which holds for every prime
 ``p`` and is checked once per group. Other secrets, Miller-Rabin and
 :func:`mod_exp` are builtin ``pow``.
 
+A prime search tests uniform random odd candidates of the requested
+size, so the prime it keeps is confirmed with the Miller-Rabin rounds
+that the average-case bound of Damgard, Landrock and Pomerance needs for
+an error of at most 2^-80 (the bound FIPS 186-4, Appendix C.3, uses):
+6 rounds at 512 bits and 3 from 847 bits on, instead of the 40 that
+bound any single ``n``. Below 171 bits that bound never reaches 2^-80,
+and the search keeps 40 rounds.
+
 All randomness flows through a caller-supplied ``random.Random`` so that
 parameter and key generation are reproducible from a seed. That makes
 this module simulation-grade, not constant-time hardened.
@@ -24,13 +32,16 @@ this module simulation-grade, not constant-time hardened.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
 SYMMETRIC_KEY_LEN = 16
 
-# Default Miller-Rabin round count: error probability <= 4^-40.
+# Miller-Rabin rounds that bound the error for any n by 4^-40 = 2^-80. A
+# prime search confirms its prime to the same 2^-80 with the rounds of
+# _search_rounds, and uses these where that bound cannot reach it.
 DEFAULT_PRIMALITY_ROUNDS = 40
 
 # Modulus sizes accepted by parameter generation. The prime search
@@ -216,8 +227,30 @@ def is_probable_prime(n: int, rounds: int, rng: random.Random) -> bool:
     return True
 
 
+def _search_rounds(bit_length: int) -> int:
+    """Miller-Rabin rounds that confirm a prime found among uniform random
+    odd ``bit_length``-bit candidates with an error of at most 2^-80.
+
+    The least ``t`` in ``[3, k // 9]`` for which the average-case bound of
+    Damgard, Landrock and Pomerance (Math. Comp. 61, 1993, Theorem 2),
+    ``k^(3/2) * 2^t * t^(-1/2) * 4^(2 - sqrt(t*k))``, is at most 2^-80,
+    and ``DEFAULT_PRIMALITY_ROUNDS`` when there is none (below 171 bits).
+    """
+    k = bit_length
+    for t in range(3, k // 9 + 1):
+        log2_error = 1.5 * math.log2(k) + t - 0.5 * math.log2(t) + 2 * (2 - math.sqrt(t * k))
+        if log2_error <= -2 * DEFAULT_PRIMALITY_ROUNDS:
+            return t
+    return DEFAULT_PRIMALITY_ROUNDS
+
+
 def generate_dh_params(bit_length: int, rng: random.Random) -> DhParams:
     """Draw a random prime ``p`` of exactly ``bit_length`` bits and a base.
+
+    Candidates are uniform random odd ``bit_length``-bit integers, and the
+    one kept passes ``_search_rounds(bit_length)`` Miller-Rabin rounds. A
+    composite candidate all but always fails at its first witness, so the
+    round count changes only what is drawn after ``p``.
 
     The base is chosen uniformly in ``[2, p-2]``; verifying it generates
     the full group would require factoring ``p - 1``, which the protocol
@@ -231,20 +264,49 @@ def generate_dh_params(bit_length: int, rng: random.Random) -> DhParams:
         raise DhError(
             f"modulus size must be in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}] "
             f"bits, got {bit_length}")
+    rounds = _search_rounds(bit_length)
     while True:
         # Force the top bit (exact bit length) and the low bit (odd).
         candidate = rng.getrandbits(bit_length) | (1 << (bit_length - 1)) | 1
-        if is_probable_prime(candidate, DEFAULT_PRIMALITY_ROUNDS, rng):
+        if is_probable_prime(candidate, rounds, rng):
             p = candidate
             break
     w = rng.randrange(2, p - 1)
     return DhParams(p=p, w=w)
 
 
+def check_group(params: DhParams) -> DhParams:
+    """Return ``params`` if :func:`generate_keypair` can draw a key pair in it.
+
+    Two kinds of base fail, and neither is ever drawn by
+    :func:`generate_dh_params`: one with ``w^2 = 1 (mod p)``, whose
+    powers are only 1 and ``w`` (none in ``[2, p-2]`` for ``w = p-1``),
+    and one that some power sends to 0, which a composite ``p`` allows:
+    every power of it from the bit length of ``p`` on is 0, so almost no
+    exponent gives a usable value. Any other base gives a public value
+    in ``[2, p-2]`` for more than a third of all exponents.
+
+    Raises:
+        DhError: for such a base.
+    """
+    p, w = params.p, params.w
+    if w * w % p == 1 or pow(w, p.bit_length(), p) == 0:
+        raise DhError(f"base w={w} has no usable public value mod p={p}")
+    return params
+
+
 def generate_keypair(params: DhParams, rng: random.Random) -> DhKeyPair:
-    """Pick a secret exponent uniformly in ``[2, p-2]`` and publish ``w^secret``."""
-    private = rng.randrange(2, params.p - 1)
-    return keypair_from_private(params, private)
+    """Pick a secret exponent uniformly in ``[2, p-2]`` and publish ``w^secret``,
+    redrawing while ``w^secret`` is outside ``[2, p-2]``, which a peer rejects.
+
+    Raises:
+        DhError: if the group fails :func:`check_group`.
+    """
+    p = check_group(params).p
+    while True:
+        keypair = keypair_from_private(params, rng.randrange(2, p - 1))
+        if 2 <= keypair.public_value <= p - 2:
+            return keypair
 
 
 def keypair_from_private(params: DhParams, private_exponent: int) -> DhKeyPair:

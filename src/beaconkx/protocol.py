@@ -66,6 +66,7 @@ from .dh import (
     DhError,
     DhKeyPair,
     DhParams,
+    check_group,
     compute_shared_secret,
     derive_symmetric_key,
     generate_keypair,
@@ -129,9 +130,10 @@ class SecretMemo:
         """The fleet's object for the group ``(p, w)``, made on first use.
 
         Raises:
-            DhError: if ``w`` is outside ``[2, p)``.
+            DhError: if ``w`` is outside ``[2, p)``, or a new group fails
+                ``check_group``: no responder key pair could be drawn in it.
         """
-        return self._groups.get((p, w)) or self.share(DhParams(p, w))
+        return self._groups.get((p, w)) or self.share(check_group(DhParams(p, w)))
 
     def register(self, params: DhParams, keypair: DhKeyPair) -> None:
         self._private[(params.p, params.w, keypair.public_value)] = (

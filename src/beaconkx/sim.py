@@ -79,17 +79,21 @@ MAX_VEHICLES = 10**5
 # Most neighbor-table samples, one per SAMPLE_PERIOD, that the metrics
 # replay may take, however few events the run has.
 MAX_SAMPLES = 10**4
-# Most set-up a config may ask for, in 512-bit prime searches (about
-# 0.06-0.08 s each on one Xeon core): one search per group, and one group
-# per vehicle in per-node mode, each weighted by (dh_bits / 512) ** 3.5,
-# the growth timed from 512 to 2048 bits; plus one key pair per vehicle,
-# weighted KEYPAIR_SEARCHES * (dh_bits / 512) ** 2.5. Past it set-up
-# alone takes minutes.
+# Most set-up a config may ask for, in 512-bit prime searches as they
+# were timed when each confirmed its prime with 40 rounds (0.06-0.08 s on
+# one Xeon core): one search per group, and one group per vehicle in
+# per-node mode, each weighted by (dh_bits / 512) ** 3.5, the growth timed
+# from 512 to 2048 bits; plus one key pair per vehicle, weighted
+# KEYPAIR_SEARCHES * (dh_bits / 512) ** 2.5. Past it set-up alone takes
+# minutes. A search now confirms with the rounds of the average-case
+# bound (dh._search_rounds), which makes it cheaper at 171 bits and up
+# and leaves it unchanged below: a 512-bit one takes about 0.05 s. The
+# weights keep the old unit, so the budget in wall time does not grow.
 MAX_PRIME_SEARCHES = 2000
-# A 512-bit key pair from its group's fixed-base table, in searches:
-# 0.31-0.34 ms against a 78-ms search on a 2-vCPU Xeon VM, and 9.7 ms at
+# A 512-bit key pair from its group's fixed-base table, in searches of
+# that unit: 0.25-0.34 ms against 78 ms on a 2-vCPU Xeon VM, and 9.7 ms at
 # 2048 bits, under the 10.9 ms the growth below allows. A per-node group
-# makes its one pair with pow, about 1.1 ms, still under 2 % of that
+# makes its one pair with pow, about 1.1 ms, still under 3 % of that
 # group's own search.
 KEYPAIR_SEARCHES = 1 / 230
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -7,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beaconkx.dh import (
+    DEFAULT_PRIMALITY_ROUNDS,
     FIXED_BASE_AFTER,
     FIXED_BASE_WINDOW,
     MAX_MODULUS_BITS,
+    MIN_MODULUS_BITS,
     DhError,
+    DhKeyPair,
     DhParams,
+    _search_rounds,
+    check_group,
     compute_shared_secret,
     derive_symmetric_key,
     generate_dh_params,
@@ -134,6 +140,66 @@ class TestParamGeneration:
             DhParams(p=23, w=23)
 
 
+def average_case_error(k: int, t: int) -> float:
+    """The Damgard-Landrock-Pomerance bound on the chance that a search
+    over random odd k-bit candidates keeps a composite after t rounds."""
+    return k ** 1.5 * 2.0 ** t * t ** -0.5 * 4.0 ** (2 - math.sqrt(t * k))
+
+
+def forty_round_search(bits: int, rng: random.Random) -> int:
+    """The prime search as it was before its rounds followed the bound."""
+    while True:
+        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_probable_prime(candidate, 40, rng):
+            return candidate
+
+
+class TestPrimeSearch:
+    @pytest.mark.parametrize("bits, rounds", [
+        (64, 40), (170, 40), (171, 19), (256, 11), (512, 6), (1024, 3), (2048, 3)])
+    def test_round_table(self, bits, rounds):
+        assert _search_rounds(bits) == rounds
+
+    def test_each_count_is_the_least_that_meets_the_bound(self):
+        # The bound holds for 3 <= t <= k/9; where no such t reaches
+        # 2^-80, the search keeps the rounds that bound any n.
+        target = 2.0 ** -80
+        for k in range(MIN_MODULUS_BITS, MAX_MODULUS_BITS + 1):
+            rounds = _search_rounds(k)
+            allowed = range(3, k // 9 + 1)
+            if rounds == DEFAULT_PRIMALITY_ROUNDS:
+                assert all(average_case_error(k, t) > target for t in allowed), k
+            else:
+                assert rounds in allowed and average_case_error(k, rounds) <= target, k
+                assert rounds == 3 or average_case_error(k, rounds - 1) > target, k
+
+    @pytest.mark.parametrize("bits", [16, 32, 64, 256, 512])
+    def test_sympy_certifies_the_primes(self, bits):
+        for seed in range(6):
+            p = generate_dh_params(bits, random.Random(seed)).p
+            assert p.bit_length() == bits
+            assert sympy.isprime(p), (bits, seed)
+
+    @pytest.mark.parametrize("bits, seeds", [(256, range(8)), (512, range(4))])
+    def test_prime_does_not_depend_on_the_round_count(self, bits, seeds):
+        # A composite candidate fails at its first witness, so fewer
+        # confirming rounds change only what is drawn after the prime.
+        for seed in seeds:
+            assert generate_dh_params(bits, random.Random(seed)).p == \
+                forty_round_search(bits, random.Random(seed)), seed
+
+
+class ScriptedRng(random.Random):
+    """An rng whose ``randrange`` returns the given draws in turn."""
+
+    def __init__(self, *draws: int) -> None:
+        super().__init__(0)
+        self.draws = list(draws)
+
+    def randrange(self, start, stop=None, step=1):
+        return self.draws.pop(0)
+
+
 class TestKeypair:
     @pytest.mark.parametrize("private, public", [(6, 8), (15, 19)])
     def test_forced_private_exponent(self, private, public):
@@ -159,6 +225,55 @@ class TestKeypair:
         params = DhParams(p=23, w=5)
         assert generate_keypair(params, random.Random(4)) == \
             generate_keypair(params, random.Random(4))
+
+    def test_redraws_a_public_value_the_peer_would_reject(self):
+        # 2^11 = 1 (mod 23): the pair with exponent 11 is drawn again.
+        rng = ScriptedRng(11, 3)
+        assert generate_keypair(DhParams(23, 2), rng) == DhKeyPair(3, 8)
+        assert rng.draws == []
+
+    @pytest.mark.parametrize("p, w", [
+        (23, 22),       # w = p-1: every power is 1 or p-1
+        (3, 2),         # no exponent at all in [2, p-2]
+        (15, 4),        # 4^2 = 1: only 1 and 4
+        (9, 3),         # 3^2 = 0
+        (2**100, 2),    # 2^x = 0 from x = 100 on
+        (3 * 2**100, 6),  # 6^x = 0 from x = 100 on
+    ])
+    def test_group_without_usable_public_values_is_rejected(self, p, w):
+        params = DhParams(p, w)
+        with pytest.raises(DhError, match="no usable public value"):
+            check_group(params)
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(DhError, match="no usable public value"):
+            generate_keypair(params, rng)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("p, w", [(5, 2), (5 * 2**100, 2), (21, 2)])
+    def test_other_groups_draw_in_range_pairs(self, p, w):
+        # 2^2 = -1 (mod 5); 2^x mod 5 * 2^100 is never 0, 1 or p-1; 21
+        # is composite.
+        params = check_group(DhParams(p, w))
+        rng = random.Random(2)
+        for _ in range(20):
+            pair = generate_keypair(params, rng)
+            assert 2 <= pair.public_value <= p - 2
+            assert pair.public_value == pow(w, pair.private_exponent, p)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_two_generated_pairs_agree(self, data):
+        p = data.draw(st.one_of(
+            st.sampled_from(list(sympy.primerange(5, 300))),
+            st.integers(5, 2**16).map(sympy.prevprime).filter(lambda q: q >= 5)))
+        params = DhParams(p, data.draw(st.integers(2, p - 2)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        a, b = generate_keypair(params, rng), generate_keypair(params, rng)
+        secret = compute_shared_secret(params, a.private_exponent, b.public_value)
+        assert secret == compute_shared_secret(params, b.private_exponent, a.public_value)
+        assert secret == compute_shared_secret(
+            params, a.private_exponent, b.public_value, b.private_exponent)
 
 
 class TestFixedBaseTable:

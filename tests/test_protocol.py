@@ -17,6 +17,7 @@ from beaconkx.codec import (
 )
 from beaconkx.dh import (
     FIXED_BASE_AFTER,
+    DhError,
     DhKeyPair,
     DhParams,
     derive_symmetric_key,
@@ -292,6 +293,22 @@ class TestPerNodeParams:
         assert magnitude_to_int(reply.public_value) == pow(5, responder_private, 23)
         assert node.neighbors[7].key == derive_symmetric_key(
             pow(19, responder_private, 23))
+
+    @pytest.mark.parametrize("p, w", [(23, 22), (2**100, 2), (3, 2)])
+    def test_beacon_in_a_group_without_key_pairs_gets_no_ack(self, p, w):
+        # No responder pair can be drawn where every power of w is 1 or
+        # p-1, or 0, nor where [2, p-2] is empty: the beacon refreshes
+        # the entry, leaves it without a key and gets no answer, and the
+        # group is not kept.
+        node = textbook_node(3, 6)
+        beacon = BeaconPacket(identifiant=7, version=2, ptype=PacketType.BEACON,
+                              src_pos=Position(1.0, 0.0),
+                              public_value=encode_param_triple(p, w, 5))
+        assert node.on_receive_beacon(beacon, 0.2) is None
+        assert node.neighbors[7].key is None
+        assert node._responder_keys == {}
+        with pytest.raises(DhError):
+            node.memo.group(p, w)
 
 
 def fleet_node(node_id: int, params: DhParams, private: int, memo: SecretMemo,

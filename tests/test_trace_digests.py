@@ -29,7 +29,10 @@ sim.probes = 4.0:1:500:500
 CONFIGS = {
     # the determinism scene of acceptance criterion 9
     "criterion_9": parse_config_text(CRITERION_9_TEXT),
-    # the static convergence scene with the halt of criterion 6
+    # the static convergence scene with the halt of criterion 6, the one
+    # pin at the default 512 bits; rebaselined when the prime search began
+    # to confirm with 6 rounds at that size instead of 40: the same p and
+    # the same records, but a new w, so new public values and keys
     "criterion_6_halt": SimConfig(
         n_vehicles=30, area=(1000.0, 1000.0), radio_range=250.0,
         speed_range=(0.0, 0.0), loss_rate=0.0,
@@ -72,7 +75,7 @@ DIGESTS = {
     "criterion_9":
         "cc197b6fbf3f3a1ddd08a4a7516570343dd9995ec91a372bb15a0413f12efaf3",
     "criterion_6_halt":
-        "1e2669a32a63d6da22453e343a5429a85c4faa123045ace97bb4b756fde6dfde",
+        "8748da182d634748a8304cf47cdb4620ac183dd9b96462dad133fbc05ec1fa2f",
     "pernode_costs":
         "eeb0a7bd6700f70c810e970ebe5d75cc1bdb89d61974594da90fd4a8bb85b212",
     "sparse_fleet":
