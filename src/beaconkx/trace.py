@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 EV_BEACON_TX = "beacon_tx"
@@ -47,8 +48,18 @@ def _fmt_value(value: object) -> str:
     raise TypeError(f"unsupported extra value type: {type(value)!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceRecord:
+    """One trace event. Read-only by convention: nothing in the program
+    changes a record once it is built.
+
+    Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, which made building one about three times as
+    slow, and every run and every trace read builds one per event. Its
+    ``__hash__`` never worked either, since ``extra`` is a dict.
+    ``==``, ``repr`` and ``dataclasses.replace`` are kept.
+    """
+
     t: float
     ev: str
     node: int
@@ -115,42 +126,90 @@ class Trace:
         ``len`` the metrics replay sums. Anything else, or a time earlier
         than the line before, raises ``TraceFormatError`` naming its line
         number: the replay needs well-typed records in time order.
+
+        A line in the exact form ``to_jsonl`` writes, with a flat ``extra``,
+        is read without the JSON decoder: its fields are converted from the
+        matched text, and each distinct ``extra`` text is decoded once. Any
+        other line, and one whose fields fail a check there, goes through
+        ``json.loads`` and the checks of ``_parse_line``. Both paths accept
+        the same lines and give equal records, each with its own ``extra``
+        dict; only the second writes errors, so every rejection is the one
+        the JSON decoder's path gives.
         """
+        canonical = _CANONICAL_LINE.fullmatch
         loads = json.loads
         isfinite = math.isfinite
+        extras: dict[str, dict] = {}
         records: list[TraceRecord] = []
         append = records.append
         last_t = -math.inf
         for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = loads(line)
-                t, ev, node, peer, pos, extra = (
-                    obj["t"], obj["ev"], obj["node"], obj["peer"], obj["pos"], obj["extra"])
-                if type(ev) is not str:
-                    raise ValueError(f"ev {ev!r} is not a string")
-                if type(node) is not int or (
-                        type(peer) is not int and (peer is not None or ev in _PEERED)):
-                    raise ValueError(f"node {node!r} or peer {peer!r} is not an integer")
-                if type(pos) is not list or len(pos) != 2:
-                    raise ValueError(f"pos {pos!r} is not two coordinates")
-                x, y = pos
-                if not (type(t) is float and type(x) is float and type(y) is float):
-                    t, x, y = _number(t), _number(x), _number(y)
-                if not (isfinite(t) and isfinite(x) and isfinite(y)):
-                    raise ValueError(f"t {t!r} or pos {pos!r} is not finite")
-                if type(extra) is not dict:
-                    raise ValueError(f"extra {extra!r} is not an object")
-                if ev in _TRANSMISSIONS and type(extra["len"]) is not int:
-                    raise ValueError(f"len {extra['len']!r} is not an integer")
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise TraceFormatError(f"line {lineno}: {_reason(exc)}") from exc
+            record = None
+            match = canonical(line)
+            if match is not None:
+                t, ev, node, peer, x, y, extra_text = match.groups()
+                try:
+                    t, x, y, node = float(t), float(x), float(y), int(node)
+                    peer = None if peer == "null" else int(peer)
+                    extra = extras.get(extra_text)
+                    if extra is None:
+                        extra = extras[extra_text] = loads(extra_text)
+                    if (isfinite(t) and isfinite(x) and isfinite(y)
+                            and (peer is not None or ev not in _PEERED)
+                            and (ev not in _TRANSMISSIONS or type(extra.get("len")) is int)):
+                        record = TraceRecord(t, ev, node, peer, (x, y), dict(extra))
+                except ValueError:  # an integer past int's digit limit, or bad extra JSON
+                    pass
+            if record is None:
+                if not line.strip():
+                    continue
+                try:
+                    record = _parse_line(line)
+                except (ValueError, KeyError, TypeError, OverflowError,
+                        RecursionError) as exc:  # RecursionError: deep nesting
+                    raise TraceFormatError(f"line {lineno}: {_reason(exc)}") from exc
+            t = record.t
             if not t >= last_t:
                 raise TraceFormatError(f"line {lineno}: time {t} out of order after {last_t}")
             last_t = t
-            append(TraceRecord(t, ev, node, peer, (x, y), extra))
+            append(record)
         return cls(records)
+
+
+# The line ``to_jsonl`` writes. Numbers follow JSON's grammar (no leading
+# zero, ``[0-9]`` rather than any Unicode digit ``int`` would take), and
+# ``extra`` holds no list or object: a shallow copy of its decoded dict is
+# a full one, and decoding it cannot recurse.
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_FLOAT = _INT + r"\.[0-9]+"
+_CANONICAL_LINE = re.compile(
+    r'\{"t": (' + _FLOAT + r'), "ev": "([a-z_]+)", "node": (' + _INT + r'), '
+    r'"peer": (null|' + _INT + r'), "pos": \[(' + _FLOAT + r'), (' + _FLOAT + r')\], '
+    r'"extra": (\{[^][{}]*\})\}')
+
+
+def _parse_line(line: str) -> TraceRecord:
+    """One line through the JSON decoder, with every check ``from_jsonl`` names."""
+    obj = json.loads(line)
+    t, ev, node, peer, pos, extra = (
+        obj["t"], obj["ev"], obj["node"], obj["peer"], obj["pos"], obj["extra"])
+    if type(ev) is not str:
+        raise ValueError(f"ev {ev!r} is not a string")
+    if type(node) is not int or (
+            type(peer) is not int and (peer is not None or ev in _PEERED)):
+        raise ValueError(f"node {node!r} or peer {peer!r} is not an integer")
+    if type(pos) is not list or len(pos) != 2:
+        raise ValueError(f"pos {pos!r} is not two coordinates")
+    x, y = pos
+    if not (type(t) is float and type(x) is float and type(y) is float):
+        t, x, y = _number(t), _number(x), _number(y)
+    if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"t {t!r} or pos {pos!r} is not finite")
+    if type(extra) is not dict:
+        raise ValueError(f"extra {extra!r} is not an object")
+    if ev in _TRANSMISSIONS and type(extra["len"]) is not int:
+        raise ValueError(f"len {extra['len']!r} is not an integer")
+    return TraceRecord(t, ev, node, peer, (x, y), extra)
 
 
 def _number(value: object) -> float:

@@ -232,6 +232,9 @@ class TestMetricsCommand:
         '"pos": [0.0, 0.0], "extra": {}}',
         '{"t": 1.0, "ev": "key_established", "node": 1, "peer": null, '
         '"pos": [0.0, 0.0], "extra": {}}',
+        pytest.param('{"t": 1.0, "ev": "beacon_rx", "node": 1, "peer": 2, '
+                     '"pos": [0.0, 0.0], "extra": {"a": ' + "[" * 100_000 + '}}',
+                     id="deeply-nested-extra"),
     ])
     def test_malformed_line_exits_2_naming_it(self, saved_run, capsys, bad_line):
         cfg, trace, _ = saved_run

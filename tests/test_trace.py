@@ -1,8 +1,12 @@
-"""The one-pass trace writer against the per-record reference writer, and
-the reader's round trip on the benchmark's scenes."""
+"""The one-pass trace writer against the per-record reference writer, the
+reader against the per-line JSON reference reader, and the reader's round
+trip on the benchmark's scenes."""
 
+import functools
 import importlib.util
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -12,7 +16,17 @@ from hypothesis import strategies as st
 
 from beaconkx.config import parse_config_text
 from beaconkx.sim import run
-from beaconkx.trace import Trace, TraceRecord, _fmt_value
+from beaconkx.trace import (
+    _CANONICAL_LINE,
+    _PEERED,
+    _TRANSMISSIONS,
+    Trace,
+    TraceFormatError,
+    TraceRecord,
+    _fmt_value,
+    _number,
+    _reason,
+)
 
 SCENES_PY = Path(__file__).parent.parent / "perfbench" / "scenes.py"
 
@@ -95,3 +109,180 @@ def test_round_trip_on_benchmark_scenes(workload):
     text = trace.to_jsonl()
     assert text == reference_jsonl(trace.records)
     assert Trace.from_jsonl(text).to_jsonl() == text
+    # Every line the engine writes is read without the JSON decoder.
+    assert all(_CANONICAL_LINE.fullmatch(line) for line in text.splitlines())
+
+
+def reference_from_jsonl(text: str) -> list[TraceRecord]:
+    """Every line through ``json.loads``: the reader before its fast path."""
+    records: list[TraceRecord] = []
+    last_t = -math.inf
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            t, ev, node, peer, pos, extra = (
+                obj["t"], obj["ev"], obj["node"], obj["peer"], obj["pos"], obj["extra"])
+            if type(ev) is not str:
+                raise ValueError(f"ev {ev!r} is not a string")
+            if type(node) is not int or (
+                    type(peer) is not int and (peer is not None or ev in _PEERED)):
+                raise ValueError(f"node {node!r} or peer {peer!r} is not an integer")
+            if type(pos) is not list or len(pos) != 2:
+                raise ValueError(f"pos {pos!r} is not two coordinates")
+            x, y = pos
+            if not (type(t) is float and type(x) is float and type(y) is float):
+                t, x, y = _number(t), _number(x), _number(y)
+            if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"t {t!r} or pos {pos!r} is not finite")
+            if type(extra) is not dict:
+                raise ValueError(f"extra {extra!r} is not an object")
+            if ev in _TRANSMISSIONS and type(extra["len"]) is not int:
+                raise ValueError(f"len {extra['len']!r} is not an integer")
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise TraceFormatError(f"line {lineno}: {_reason(exc)}") from exc
+        if not t >= last_t:
+            raise TraceFormatError(f"line {lineno}: time {t} out of order after {last_t}")
+        last_t = t
+        records.append(TraceRecord(t, ev, node, peer, (x, y), extra))
+    return records
+
+
+SMALL_RUN = """
+sim.n_vehicles = 6
+sim.area_width = 300
+sim.area_height = 300
+sim.loss_rate = 0.2
+sim.duration = 6
+sim.seed = 3
+sim.dh_bits = 64
+sim.probes = 3.0:1:250:250; 3.0:2:0:0
+sim.halts = 2:0.5
+"""
+
+
+@functools.cache
+def saved_lines() -> tuple[str, ...]:
+    """The first lines of a small run's trace file, and the first of every
+    other kind of event in it, in file order."""
+    lines = run(parse_config_text(SMALL_RUN))[0].to_jsonl().splitlines()
+    firsts = {json.loads(line)["ev"]: i for i, line in reversed(list(enumerate(lines)))}
+    return tuple(lines[i] for i in sorted({*range(20), *firsts.values()}))
+
+
+def assert_readers_agree(lines) -> None:
+    """Equal records by ``repr`` (so ``1`` is not ``1.0``, nor ``-0.0``
+    ``0.0``), or the same error; and no dict or list in an ``extra`` shared
+    between records."""
+    text = "\n".join(lines) + "\n"
+    try:
+        expected = repr(reference_from_jsonl(text))
+    except TraceFormatError as exc:
+        with pytest.raises(TraceFormatError) as raised:
+            Trace.from_jsonl(text)
+        assert str(raised.value) == str(exc)
+        return
+    records = Trace.from_jsonl(text).records
+    assert repr(records) == expected
+    containers = [id(c) for record in records for c in _containers(record.extra)]
+    assert len(set(containers)) == len(containers)
+
+
+def _containers(value):
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _containers(item)
+
+
+def test_every_saved_event_kind_is_in_the_sample():
+    kinds = {json.loads(line)["ev"] for line in saved_lines()}
+    assert kinds == {"beacon_tx", "beacon_rx", "ack_tx", "ack_rx", "key_established",
+                     "neighbor_expired", "route_hop", "route_local_max"}
+
+
+EDITS = st.one_of(
+    st.sampled_from(list('0123456789-+.eE"{}[],: _nul\\') + ["\u0663", "\x85", "\t"]),
+    st.characters(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reader_agrees_with_reference_on_edited_lines(data):
+    """One character inserted, deleted or replaced in one saved line."""
+    lines = list(saved_lines())
+    index = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[index]
+    at = data.draw(st.integers(0, len(line) - 1))
+    op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    char = "" if op == "delete" else data.draw(EDITS)
+    lines[index] = line[:at] + char + line[at + (op != "insert"):]
+    assert_readers_agree(lines)
+
+
+def _sub(pattern: str, replacement):
+    return lambda line: re.sub(pattern, replacement, line, count=1)
+
+
+def _first_in_extra(member: str):
+    return _sub(r'"extra": \{(\}?)',
+                lambda m: '"extra": {' + member + ("}" if m[1] else ", "))
+
+
+def _last_in_extra(member: str):
+    return _sub(r'(\{?)\}\}$', lambda m: (m[1] or ", ") + member + "}}")
+
+
+# Each rewrites one field of a line the way a hand-written file might.
+REWRITES = {
+    "node leading zero": _sub(r'"node": (\d)', r'"node": 0\1'),
+    "peer leading zero": _sub(r'"peer": (\d)', r'"peer": 0\1'),
+    "t leading zero": _sub(r'"t": (\d)', r'"t": 0\1'),
+    "pos leading zero": _sub(r'"pos": \[(\d)', r'"pos": [0\1'),
+    "integer t": _sub(r'"t": (\d+)\.\d+', r'"t": \1'),
+    "integer pos": _sub(r'"pos": \[(-?\d+)\.\d+, (-?\d+)\.\d+\]', r'"pos": [\1, \2]'),
+    "t exponent": _sub(r'"t": ([\d.]+)', r'"t": \1e0'),
+    "negative zero t": _sub(r'"t": [\d.]+', '"t": -0.000000'),
+    "negative zero pos": _sub(r'"pos": \[[-\d.]+', '"pos": [-0.000000'),
+    "negative zero node": _sub(r'"node": \d+', '"node": -0'),
+    "negative zero peer": _sub(r'"peer": \d+', '"peer": -0'),
+    "null peer": _sub(r'"peer": \d+', '"peer": null'),
+    "no spaces": lambda line: line.replace(": ", ":").replace(", ", ","),
+    "double space": _sub(r'"ev": ', '"ev":  '),
+    "leading space": lambda line: " " + line,
+    "trailing space": lambda line: line + " ",
+    "carriage return": lambda line: line + "\r",
+    "extra top-level key": lambda line: line[:-1] + ', "x": 1}',
+    "second extra": lambda line: line[:-1] + ', "extra": {"len": 7}}',
+    "duplicate extra key": _first_in_extra('"len": 1.5'),
+    "duplicate len after": _last_in_extra('"len": 3'),
+    "nested extra": _first_in_extra('"a": [1, {"b": 2}]'),
+    "brace in extra string": _first_in_extra('"a": "}"'),
+    "upper-case ev": _sub(r'"ev": "(\w)', lambda m: f'"ev": "{m[1].upper()}'),
+    "escaped ev": _sub(r'"ev": "(\w+)_', r'"ev": "\1\\u005f'),
+    "5000-digit node": _sub(r'"node": \d+', '"node": 1' + "0" * 4999),
+    "5000-digit t": _sub(r'"t": [\d.]+', '"t": 1' + "0" * 4999 + ".000000"),
+    "400-digit pos": _sub(r'"pos": \[[-\d.]+', '"pos": [1' + "0" * 400 + ".000000"),
+    "1e999 t": _sub(r'"t": [\d.]+', '"t": 1e999'),
+    "1e999 pos": _sub(r'"pos": \[[-\d.]+', '"pos": [1e999'),
+    "17-digit node": _sub(r'"node": \d+', '"node": 9007199254740993'),
+    "unicode digit node": _sub(r'"node": \d+', '"node": \u0663'),
+    "unicode digit in peer": _sub(r'"peer": \d+', '"peer": 1\u0663'),
+    "underscore in node": _sub(r'"node": (\d)', r'"node": 1_\1'),
+    "plus sign t": _sub(r'"t": ', '"t": +'),
+    "bare t fraction": _sub(r'"t": \d+', '"t": '),
+    "float len": _sub(r'"len": (\d+)', r'"len": \1.0'),
+    "blank": lambda line: "   ",
+}
+
+
+@pytest.mark.parametrize("rewrite", REWRITES.values(), ids=REWRITES.keys())
+def test_reader_agrees_with_reference_on_rewritten_lines(rewrite):
+    lines = saved_lines()
+    changed = [rewrite(line) for line in lines]
+    assert changed != list(lines)
+    for index, line in enumerate(changed):
+        assert_readers_agree(lines[:index] + (line,) + lines[index + 1:])
+    assert_readers_agree(changed)
