@@ -14,8 +14,17 @@ each row ``i``, and a power of ``w`` costs about one multiplication per
 four exponent bits plus 30. A shared secret ``Y^x`` comes from that table too when the
 caller knows ``y`` with ``Y = w^y``, as ``w^(x*y mod (p-1))``: the two
 are equal whenever ``w^(p-1) = 1 (mod p)``, which holds for every prime
-``p`` and is checked once per group. Other secrets, Miller-Rabin and
-:func:`mod_exp` are builtin ``pow``.
+``p`` and is checked once per group. Other secrets and :func:`mod_exp`
+are builtin ``pow``.
+
+Miller-Rabin spends its full-size ``pow`` only where cheaper tests do
+not settle the answer: trial division by the primes up to 199, then,
+when ``g = gcd(n, product of the primes in (199, GCD_FILTER_BOUND])``
+has ``1 < g < n``, each round taken mod ``g`` first. That is exact:
+``g`` divides ``n``, so a witness that passes mod ``n`` passes mod
+``g``, and one that fails mod ``g`` is one the full round rejects. The
+result and every draw from the caller's ``rng`` are those of the plain
+test.
 
 A prime search tests uniform random odd candidates of the requested
 size, so the prime it keeps is confirmed with the Miller-Rabin rounds
@@ -63,11 +72,29 @@ FIXED_BASE_WINDOW = 4
 # about 1.5 times the best price, at two uses.
 FIXED_BASE_AFTER = 1
 
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-    67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
-    139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
-)
+# Primes up to which a composite is rejected before the full-size
+# Miller-Rabin exponentiation (Handbook of Applied Cryptography, Note
+# 4.45): those up to 199 by trial division, the rest by the
+# strong-probable-prime test mod gcd(n, their product). Timed on a 2-vCPU
+# Xeon VM at 512 bits, that gcd costs 41 us against 781 us for one pow,
+# and over 40 seeded searches the pows per search fall from 40.1 to 24.8
+# for 35 gcds. Counts times unit costs make 2^14 the cheapest bound: 2^13
+# and 2^15 cost about 2 % more per search, 2^12 7 % and 2^16 11 %.
+GCD_FILTER_BOUND = 2 ** 14
+
+
+def _primes_up_to(bound: int) -> list[int]:
+    """The primes up to ``bound``, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, bound + 1, q)))
+    return [q for q in range(bound + 1) if sieve[q]]
+
+
+_SMALL_PRIMES = tuple(_primes_up_to(199))
+_GCD_FILTER_PRODUCT = math.prod(_primes_up_to(GCD_FILTER_BOUND)[len(_SMALL_PRIMES):])
 
 
 class DhError(ValueError):
@@ -213,18 +240,32 @@ def is_probable_prime(n: int, rounds: int, rng: random.Random) -> bool:
         d //= 2
         r += 1
 
+    # g divides n, so a witness that passes mod n passes mod g too: one
+    # that fails mod g fails the same round mod n, after the same draws.
+    # When g == n, n is a product of primes up to the bound, and the test
+    # mod g would be the test itself.
+    g = math.gcd(n, _GCD_FILTER_PRODUCT)
+    filtered = 1 < g < n
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        x = mod_exp(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        if filtered and not _strong_round(pow(a, d, g), r, g):
+            return False
+        if not _strong_round(mod_exp(a, d, n), r, n):
             return False
     return True
+
+
+def _strong_round(x: int, r: int, m: int) -> bool:
+    """Whether witness ``a`` passes a Miller-Rabin round mod ``m``, given
+    ``x = a^d mod m`` for ``n - 1 = 2^r * d``: ``x`` is 1, or one of ``x,
+    x^2, ..., x^(2^(r-1))`` is ``m - 1`` mod ``m``."""
+    if x == 1 or x == m - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
 
 
 def _search_rounds(bit_length: int) -> int:

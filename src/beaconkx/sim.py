@@ -86,9 +86,12 @@ MAX_SAMPLES = 10**4
 # from 512 to 2048 bits; plus one key pair per vehicle, weighted
 # KEYPAIR_SEARCHES * (dh_bits / 512) ** 2.5. Past it set-up alone takes
 # minutes. A search now confirms with the rounds of the average-case
-# bound (dh._search_rounds), which makes it cheaper at 171 bits and up
-# and leaves it unchanged below: a 512-bit one takes about 0.05 s. The
-# weights keep the old unit, so the budget in wall time does not grow.
+# bound (dh._search_rounds) from 171 bits up, and rejects most composites
+# mod their small factors before the full-size exponentiation
+# (dh.GCD_FILTER_BOUND): a 512-bit one takes about 0.02 s on average, and
+# a 2048-bit one about 2.3 s, 105-116 times as long, under the 128 its
+# weight allows. The weights keep the old unit, so the budget in wall
+# time does not grow.
 MAX_PRIME_SEARCHES = 2000
 # A 512-bit key pair from its group's fixed-base table, in searches of
 # that unit: 0.25-0.34 ms against 78 ms on a 2-vCPU Xeon VM, and 9.7 ms at

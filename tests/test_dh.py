@@ -7,10 +7,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beaconkx import dh
 from beaconkx.dh import (
     DEFAULT_PRIMALITY_ROUNDS,
     FIXED_BASE_AFTER,
     FIXED_BASE_WINDOW,
+    GCD_FILTER_BOUND,
     MAX_MODULUS_BITS,
     MIN_MODULUS_BITS,
     DhError,
@@ -187,6 +189,149 @@ class TestPrimeSearch:
         for seed in seeds:
             assert generate_dh_params(bits, random.Random(seed)).p == \
                 forty_round_search(bits, random.Random(seed)), seed
+
+
+REFERENCE_SMALL_PRIMES = tuple(sympy.primerange(2, 200))
+
+
+def reference_is_probable_prime(n: int, rounds: int, rng: random.Random) -> bool:
+    """is_probable_prime as it was before the gcd filter: every round a
+    full-size exponentiation. The filtered test must match it draw for draw."""
+    if rounds < 1:
+        raise DhError(f"rounds must be >= 1, got {rounds}")
+    if n < 2:
+        return False
+    for q in REFERENCE_SMALL_PRIMES:
+        if n == q:
+            return True
+        if n % q == 0:
+            return False
+
+    # n - 1 = 2^r * d with d odd
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 1)
+        x = mod_exp(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def passes_strong_test(a: int, n: int, m: int) -> bool:
+    """Whether a^d = 1 or a^(2^j d) = -1 (mod m) for some j < r, where
+    n - 1 = 2^r d with d odd: a Miller-Rabin round of n, read mod m."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
+    return pow(a, d, m) == 1 or any(
+        pow(a, d << j, m) == m - 1 for j in range(r))
+
+
+@pytest.fixture
+def full_size_exps(monkeypatch):
+    """The moduli of every dh.mod_exp call, in order."""
+    moduli = []
+
+    def counted(base, exponent, modulus):
+        moduli.append(modulus)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(dh, "mod_exp", counted)
+    return moduli
+
+
+class TestGcdFilter:
+    """The strong test mod gcd(n, primes in (199, GCD_FILTER_BOUND]) before
+    each full-size round changes no result and no draw."""
+
+    FILTER_PRIMES = tuple(sympy.primerange(200, GCD_FILTER_BOUND + 1))
+
+    @staticmethod
+    def assert_same_as_reference(n: int, rounds: int, seed) -> bool:
+        reference_rng, rng = random.Random(seed), random.Random(seed)
+        expected = reference_is_probable_prime(n, rounds, reference_rng)
+        assert is_probable_prime(n, rounds, rng) is expected, (n, rounds, seed)
+        assert rng.getstate() == reference_rng.getstate(), (n, rounds, seed)
+        return expected
+
+    @pytest.mark.parametrize("bits, count", [
+        (16, 400), (64, 400), (256, 300), (512, 200), (2048, 40)])
+    def test_random_odd_numbers(self, bits, count):
+        draws = random.Random(f"gcd-filter/{bits}")
+        for index in range(count):
+            n = draws.getrandbits(bits) | (1 << (bits - 1)) | 1
+            self.assert_same_as_reference(n, _search_rounds(bits), index)
+
+    @pytest.mark.parametrize("n", [2**127 - 1, 2**521 - 1, 2**607 - 1],
+                             ids=["M127", "M521", "M607"])
+    def test_primes(self, n):
+        for seed in range(3):
+            assert self.assert_same_as_reference(n, 6, seed)
+
+    # 257 * m - 1 = 2^8 * odd for m = 1 (mod 512), so a witness of order
+    # 2^t mod the Fermat prime 257 passes there at level t - 1, up to r - 1.
+    LARGE_PRIMES = (2**127 - 1, 2**521 - 1,
+                    next(m for m in range(2**127 + 1, 2**128, 512) if sympy.isprime(m)))
+
+    @pytest.mark.parametrize("q", [211, 223, 257, 4099, 16381])
+    def test_filter_prime_times_a_large_prime(self, q, full_size_exps):
+        assert q in self.FILTER_PRIMES
+        for m in self.LARGE_PRIMES:
+            for seed in range(20):
+                full_size_exps.clear()
+                assert not self.assert_same_as_reference(q * m, 6, seed)
+                # The full-size round runs only after the witness passes mod q.
+                a = random.Random(seed).randrange(2, q * m - 1)
+                assert full_size_exps == ([q * m] if passes_strong_test(a, q * m, q) else [])
+
+    @pytest.mark.parametrize("q", [211, 4099, 16381])
+    def test_filter_prime_and_its_square(self, q, full_size_exps):
+        # q is its own gcd and takes the plain test. For q^2 the gcd is q,
+        # and q - 1 divides q^2 - 1: every witness but a multiple of q
+        # passes mod q, and the full-size round rejects it.
+        for seed in range(10):
+            assert self.assert_same_as_reference(q, 6, seed)
+            full_size_exps.clear()
+            assert not self.assert_same_as_reference(q * q, 6, seed)
+            a = random.Random(seed).randrange(2, q * q - 1)
+            assert bool(full_size_exps) == (a % q != 0)
+
+    @pytest.mark.parametrize("factors", [
+        (211, 421, 631),          # all three filter primes: gcd == n
+        (5581, 11161, 16741),     # (6k+1)(12k+1)(18k+1) at k = 930
+        (8191, 16381, 24571),     # ... at k = 1365
+    ])
+    def test_carmichael_numbers(self, factors, full_size_exps):
+        n = math.prod(factors)
+        g = math.gcd(n, math.prod(self.FILTER_PRIMES))
+        assert all(pow(a, n - 1, n) == 1 for a in (2, 3, 5, 7))
+        outcomes = set()
+        for seed in range(40):
+            full_size_exps.clear()
+            self.assert_same_as_reference(n, 6, seed)
+            a = random.Random(seed).randrange(2, n - 1)
+            passed = g == n or passes_strong_test(a, n, g)
+            outcomes.add(passed)
+            assert bool(full_size_exps) == passed, seed
+        assert outcomes == ({True} if g == n else {False, True})
+
+    def test_dense_group_search_count(self, full_size_exps):
+        # The fixed search of a seed-1 scene: 14 full-size exponentiations
+        # without the filter, 12 with it.
+        params = generate_dh_params(512, random.Random("1/group"))
+        assert (params.p % 2**64, params.w % 2**64) == \
+            (0x7f190817bae0c331, 0xb9b534ae07a278f0)
+        assert len(full_size_exps) <= 12
 
 
 class ScriptedRng(random.Random):
