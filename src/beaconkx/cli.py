@@ -25,7 +25,7 @@ from .codec import (
     encode_param_triple,
     int_to_magnitude,
 )
-from .config import load_config_file
+from .config import parse_config_text
 from .dh import (
     MAX_MODULUS_BITS,
     MIN_MODULUS_BITS,
@@ -159,12 +159,31 @@ def _print_bench(result: BenchResult, out) -> None:
               "host, for scale only", file=out)
 
 
+def _read_text(path: str, what: str) -> str | None:
+    """The UTF-8 text of the input file at ``path``, or None after printing
+    why it cannot be read: the file's name, and the line that is not
+    UTF-8."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        print(f"error: cannot read {what} {path}: {exc}", file=sys.stderr)
+        return None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        print(f"error: {path}: line {lineno}: not UTF-8 text", file=sys.stderr)
+        return None
+
+
 def _load_config(path: str) -> SimConfig | None:
     """The config at ``path``, or None after printing why it is unusable."""
+    text = _read_text(path, "config")
+    if text is None:
+        return None
     try:
-        return load_config_file(path)
-    except OSError as exc:
-        print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
+        return parse_config_text(text)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
     return None
@@ -194,18 +213,11 @@ def _cmd_metrics(args) -> int:
     config = _load_config(args.config)
     if config is None:
         return EXIT_USAGE
-    try:
-        with open(args.trace, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read trace {args.trace}: {exc}", file=sys.stderr)
+    text = _read_text(args.trace, "trace")
+    if text is None:
         return EXIT_USAGE
     try:
-        trace = Trace.from_jsonl(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        print(f"error: {args.trace}: line {lineno}: not UTF-8 text", file=sys.stderr)
-        return EXIT_USAGE
+        trace = Trace.from_jsonl(text)
     except TraceFormatError as exc:
         print(f"error: {args.trace}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -260,13 +272,10 @@ def _cmd_vectors(args) -> int:
         for line in golden_vector_lines():
             print(line)
         return EXIT_OK
-    try:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        print(f"error: cannot read vector file: {exc}", file=sys.stderr)
+    text = _read_text(args.check, "vector file")
+    if text is None:
         return EXIT_USAGE
-    failure = check_vector_lines(lines)
+    failure = check_vector_lines(text.splitlines())
     if failure is not None:
         lineno, reason = failure
         print(f"error: line {lineno}: {reason}", file=sys.stderr)

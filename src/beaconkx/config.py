@@ -168,8 +168,3 @@ def parse_config_text(text: str) -> SimConfig:
     if "n_vehicles" not in sim_kwargs:
         raise ConfigError("required key 'sim.n_vehicles' is missing")
     return SimConfig(**sim_kwargs)
-
-
-def load_config_file(path: str) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())

@@ -8,14 +8,14 @@ value is then flattened into a fixed 16-octet symmetric key.
 
 Public values use a fixed-base windowed table kept on each group
 object (Handbook of Applied Cryptography, §14.6.3, Algorithm 14.109):
-``w`` and ``p`` never change within a group, so once a group has done
-``FIXED_BASE_AFTER`` exponentiations it keeps ``w^(16^i) mod p`` for
-each row ``i``, and a power of ``w`` costs about one multiplication per
-four exponent bits plus 30. A shared secret ``Y^x`` comes from that table too when the
-caller knows ``y`` with ``Y = w^y``, as ``w^(x*y mod (p-1))``: the two
-are equal whenever ``w^(p-1) = 1 (mod p)``, which holds for every prime
-``p`` and is checked once per group. Other secrets and :func:`mod_exp`
-are builtin ``pow``.
+``w`` and ``p`` never change within a group, so from its first power of
+``w`` a group keeps ``w^(16^i) mod p`` for each row ``i``, and a power of
+``w`` costs about one multiplication per four exponent bits plus 30. A
+shared secret ``Y^x`` comes from that table too when the caller knows
+``y`` with ``Y = w^y``, as ``w^(x*y mod (p-1))``: the two are equal
+whenever ``w^(p-1) = 1 (mod p)``, which holds for every prime ``p`` and
+is checked once per group. Other secrets and :func:`mod_exp` are builtin
+``pow``.
 
 Miller-Rabin spends its full-size ``pow`` only where cheaper tests do
 not settle the answer: trial division by the primes up to 199, then,
@@ -64,13 +64,6 @@ MAX_MODULUS_BITS = 2048
 # against 223 and 1060 us by pow; 3 bits is slower at both sizes, 5
 # ties at 512, and 6 pays off only from 2048 bits (5.7 against 7.2 ms).
 FIXED_BASE_WINDOW = 4
-# Exponentiations a group does with builtin pow before it builds its
-# table on the next one (ski rental). The build squares w once per
-# exponent bit, about one pow at any size, and a power from the table
-# then costs about 0.3 pow: a group used once never pays for a table
-# (a per-node group at set-up), and one used more often pays at most
-# about 1.5 times the best price, at two uses.
-FIXED_BASE_AFTER = 1
 
 # Primes up to which a composite is rejected before the full-size
 # Miller-Rabin exponentiation (Handbook of Applied Cryptography, Note
@@ -119,59 +112,38 @@ class DhParams:
         if not 2 <= self.w < self.p:
             raise DhError(f"base must satisfy 2 <= w < p, got w={self.w}, p={self.p}")
 
+    # The table and its check are kept on the instance, outside the
+    # fields: equality, hash and repr are those of (p, w), and the table
+    # dies with the group.
     @cached_property
-    def _fixed_base(self) -> _FixedBase:
-        # Kept on the instance, outside the fields: equality, hash and
-        # repr are those of (p, w), and the table dies with the group.
-        return _FixedBase(self.p, self.w)
-
-
-class _FixedBase:
-    """Powers of one group's base ``w``: builtin ``pow`` for the group's
-    first ``FIXED_BASE_AFTER`` exponentiations, then a table of one
-    power ``w^(2^(k*i)) mod p`` per row ``i``, for ``k = FIXED_BASE_WINDOW``
-    (Handbook of Applied Cryptography, Algorithm 14.109)."""
-
-    def __init__(self, p: int, w: int) -> None:
-        self.p = p
-        self.w = w
-        self.calls = 0
-        self.rows: list[int] = []
-
-    def power(self, exponent: int) -> int:
-        """``w^exponent mod p`` for ``0 <= exponent < p``."""
-        self.calls += 1
-        if self.calls <= FIXED_BASE_AFTER:
-            return pow(self.w, exponent, self.p)
-        return self._from_table(exponent)
-
-    def secret(self, peer_public: int, own_private: int, peer_private: int) -> int:
-        """``peer_public^own_private mod p``, where ``peer_public`` is
-        ``w^peer_private mod p``: from the table as
-        ``w^(own_private * peer_private mod (p-1))``, the same value
-        whenever ``w^(p-1) = 1``, or else by builtin ``pow``."""
-        p = self.p
-        self.calls += 1
-        if self.calls > FIXED_BASE_AFTER and self._reducible:
-            return self._from_table(own_private * peer_private % (p - 1))
-        return pow(peer_public, own_private, p)
+    def _rows(self) -> list[int]:
+        # Row i holds w^(2^(k*i)) for k = FIXED_BASE_WINDOW; enough rows
+        # cover every exponent below p.
+        p, power = self.p, self.w
+        rows = []
+        for _ in range(-(-p.bit_length() // FIXED_BASE_WINDOW)):
+            rows.append(power)
+            for _ in range(FIXED_BASE_WINDOW):
+                power = power * power % p
+        return rows
 
     @cached_property
     def _reducible(self) -> bool:
         # Whether exponents of w may be reduced mod p-1: always for a
         # prime p (Fermat), not for every composite one.
-        return self._from_table(self.p - 1) == 1
+        return self._power(self.p - 1) == 1
 
-    def _from_table(self, exponent: int) -> int:
+    def _power(self, exponent: int) -> int:
+        """``w^exponent mod p`` for ``0 <= exponent < p``, from the group's
+        fixed-base table (Handbook of Applied Cryptography, Algorithm
+        14.109), built on the first call."""
         p = self.p
-        if not self.rows:
-            self.rows = self._build()
         mask = (1 << FIXED_BASE_WINDOW) - 1
         # buckets[d] is the product of the rows whose digit is d, and
         # w^exponent the product of every buckets[d]^d: the suffix
         # products of the buckets, multiplied together.
         buckets = [1] * (mask + 1)
-        for row in self.rows:
+        for row in self._rows:
             digit = exponent & mask
             if digit:
                 buckets[digit] = buckets[digit] * row % p
@@ -181,16 +153,6 @@ class _FixedBase:
             suffix = suffix * bucket % p
             result = result * suffix % p
         return result
-
-    def _build(self) -> list[int]:
-        # Row i holds w^(2^(k*i)); enough rows cover every exponent below p.
-        p, power = self.p, self.w
-        rows = []
-        for _ in range(-(-p.bit_length() // FIXED_BASE_WINDOW)):
-            rows.append(power)
-            for _ in range(FIXED_BASE_WINDOW):
-                power = power * power % p
-        return rows
 
 
 @dataclass(frozen=True)
@@ -353,14 +315,13 @@ def generate_keypair(params: DhParams, rng: random.Random) -> DhKeyPair:
 def keypair_from_private(params: DhParams, private_exponent: int) -> DhKeyPair:
     """Build the key pair for a known secret exponent (range-checked).
 
-    The public value comes from the group's fixed-base table once the
-    group has done ``FIXED_BASE_AFTER`` exponentiations, and equals
-    ``pow(w, x, p)``.
+    The public value comes from the group's fixed-base table, built on
+    the group's first power, and equals ``pow(w, x, p)``.
     """
     if not 2 <= private_exponent <= params.p - 2:
         raise DhError(
             f"private exponent must be in [2, p-2], got {private_exponent}")
-    public = params._fixed_base.power(private_exponent)
+    public = params._power(private_exponent)
     return DhKeyPair(private_exponent=private_exponent, public_value=public)
 
 
@@ -374,16 +335,17 @@ def compute_shared_secret(params: DhParams, own_private: int, peer_public: int,
 
     A caller that knows the peer's exponent ``y``, with ``peer_public =
     w^y mod p``, may pass it as ``peer_private``: the secret then comes
-    from the group's fixed-base table as ``w^(x*y mod (p-1))`` once the
-    group has one and ``w^(p-1) = 1`` holds in it, and equals ``pow``'s.
+    from the group's fixed-base table as ``w^(x*y mod (p-1))`` when
+    ``w^(p-1) = 1`` holds in the group, and equals ``pow``'s.
     """
-    if not 2 <= peer_public <= params.p - 2:
+    p = params.p
+    if not 2 <= peer_public <= p - 2:
         raise DhError(
             f"peer public value must be in [2, p-2], got {peer_public}")
-    if peer_private is None or own_private < 0:
-        # mod_exp rejects a negative exponent.
-        return mod_exp(peer_public, own_private, params.p)
-    return params._fixed_base.secret(peer_public, own_private, peer_private)
+    if peer_private is not None and own_private >= 0 and params._reducible:
+        return params._power(own_private * peer_private % (p - 1))
+    # mod_exp rejects a negative exponent.
+    return mod_exp(peer_public, own_private, p)
 
 
 def derive_symmetric_key(secret: int) -> bytes:

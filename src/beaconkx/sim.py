@@ -96,8 +96,8 @@ MAX_PRIME_SEARCHES = 2000
 # A 512-bit key pair from its group's fixed-base table, in searches of
 # that unit: 0.25-0.34 ms against 78 ms on a 2-vCPU Xeon VM, and 9.7 ms at
 # 2048 bits, under the 10.9 ms the growth below allows. A per-node group
-# makes its one pair with pow, about 1.1 ms, still under 3 % of that
-# group's own search.
+# builds its table on its one pair, which then takes about 1.3 ms (40 ms
+# at 2048 bits), still under 3 % of the search that group is weighted.
 KEYPAIR_SEARCHES = 1 / 230
 
 

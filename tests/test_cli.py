@@ -377,6 +377,21 @@ class TestVectorsCommand:
         assert check_vector_lines(golden_vector_lines()) is None
 
 
+@pytest.mark.parametrize("command", ["run", "metrics", "vectors"])
+def test_non_utf8_input_file_exits_2_naming_it_and_the_line(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"sim.n_vehicles = 2\n# caf\xe9\n")
+    argv = {
+        "run": ["run", "--config", str(bad), "--trace", str(tmp_path / "t.jsonl"),
+                "--metrics", str(tmp_path / "m.json")],
+        "metrics": ["metrics", "--config", str(bad), "--trace", str(tmp_path / "t.jsonl")],
+        "vectors": ["vectors", "--check", str(bad)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "latin1.txt" in err and "line 2" in err
+
+
 class TestUsage:
     def test_no_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,8 @@ from beaconkx.config import KNOWN_KEYS, parse_config_text
 from beaconkx.protocol import DhMode
 from beaconkx.sim import ConfigError, Mobility
 
+README = Path(__file__).parent.parent / "README.md"
+
 FULL_CONFIG = """
 # two vehicles facing each other
 sim.n_vehicles = 2
@@ -73,6 +75,13 @@ class TestParsing:
         cfg = parse_config_text(
             "\n# full line comment\nsim.n_vehicles = 3  # trailing\n\n")
         assert cfg.n_vehicles == 3
+
+    def test_readme_example_parses(self):
+        readme = README.read_text(encoding="utf-8")
+        example = readme.split("### Config files", 1)[1].split("```ini\n", 1)[1]
+        cfg = parse_config_text(example.split("```", 1)[0])
+        assert cfg.n_vehicles == 30
+        assert cfg.halts == ((7, 4.2),)
 
     def test_crypto_costs_with_overrides(self):
         cfg = parse_config_text(

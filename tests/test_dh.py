@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from beaconkx import dh
 from beaconkx.dh import (
     DEFAULT_PRIMALITY_ROUNDS,
-    FIXED_BASE_AFTER,
     FIXED_BASE_WINDOW,
     GCD_FILTER_BOUND,
     MAX_MODULUS_BITS,
@@ -424,7 +423,7 @@ class TestKeypair:
 class TestFixedBaseTable:
     @given(st.data())
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_keypair_equals_pow_before_and_after_the_table(self, data):
+    def test_keypair_and_secret_equal_pow(self, data):
         # Any modulus will do for the arithmetic; widths that are not a
         # multiple of the window leave a short top digit. Half the moduli
         # up to 256 bits are prime, where secrets come from the table; a
@@ -438,58 +437,50 @@ class TestFixedBaseTable:
             p = sympy.prevprime(p)
         params = DhParams(p=p, w=data.draw(st.integers(2, p - 1)))
         w = params.w
-        middle = data.draw(st.lists(st.integers(2, p - 2), min_size=FIXED_BASE_AFTER,
-                                    max_size=FIXED_BASE_AFTER + 4))
-        # The edges go first, through pow, and last, through the table.
+        middle = data.draw(st.lists(st.integers(2, p - 2), max_size=4))
+        # The edges go first, as the power that builds the table, and last.
         for x in [2, p - 2, *middle, 2, p - 2]:
             assert keypair_from_private(params, x).public_value == pow(w, x, p)
-        rows = params._fixed_base.rows
+        rows = params._rows
         assert len(rows) == -(-bits // FIXED_BASE_WINDOW)
         assert rows[-1] == pow(w, 1 << (FIXED_BASE_WINDOW * (len(rows) - 1)), p)
         x, y = data.draw(st.integers(0, p)), data.draw(st.integers(2, p - 2))
         peer_public = pow(w, y, p)
         if 2 <= peer_public <= p - 2:
             assert compute_shared_secret(params, x, peer_public, y) == pow(peer_public, x, p)
-        assert params._fixed_base._reducible is (pow(w, p - 1, p) == 1)
+        assert params._reducible is (pow(w, p - 1, p) == 1)
 
     def test_one_power_of_w_per_row(self):
         params = DhParams(p=23, w=5)
-        for x in range(2, 3 + FIXED_BASE_AFTER):
-            keypair_from_private(params, x)
-        assert params._fixed_base.rows == [5, pow(5, 16, 23)]
+        keypair_from_private(params, 2)
+        assert params._rows == [5, pow(5, 16, 23)]
 
-    def test_first_pairs_use_pow_then_one_table(self):
+    def test_first_pair_builds_the_rows_and_later_pairs_reuse_them(self):
         params = generate_dh_params(64, random.Random(5))
-        for x in range(2, 2 + FIXED_BASE_AFTER):
-            keypair_from_private(params, x)
-        assert params._fixed_base.rows == []
+        assert "_rows" not in vars(params)
         keypair_from_private(params, 99)
-        rows = params._fixed_base.rows
+        rows = vars(params)["_rows"]
         assert rows
         keypair_from_private(params, 100)
-        assert params._fixed_base.rows is rows
+        assert params._rows is rows
 
-    def test_secrets_count_towards_the_table(self):
+    def test_first_secret_with_the_peer_exponent_uses_the_table(self):
         params = generate_dh_params(64, random.Random(7))
         peer_public = pow(params.w, 12345, params.p)
-        for x in range(2, 2 + FIXED_BASE_AFTER):
-            compute_shared_secret(params, x, peer_public, 12345)
-        assert params._fixed_base.rows == []
         secret = compute_shared_secret(params, 99, peer_public, 12345)
         assert secret == pow(peer_public, 99, params.p)
-        assert params._fixed_base.rows
-        assert params._fixed_base.calls == 1 + FIXED_BASE_AFTER
+        assert vars(params)["_rows"]
+        assert vars(params)["_reducible"] is True
 
     def test_secret_without_the_peer_exponent_leaves_the_group_alone(self):
         params = generate_dh_params(64, random.Random(7))
-        for x in range(2, 4 + FIXED_BASE_AFTER):
+        for x in range(2, 5):
             compute_shared_secret(params, x, 5)
         assert vars(params) == {"p": params.p, "w": params.w}
 
     def test_negative_exponent_is_rejected_on_both_paths(self):
         params = DhParams(p=23, w=5)
-        for _ in range(FIXED_BASE_AFTER + 1):
-            keypair_from_private(params, 6)
+        keypair_from_private(params, 6)
         for peer_private in (None, 6):
             with pytest.raises(DhError):
                 compute_shared_secret(params, -3, 8, peer_private)
@@ -498,9 +489,9 @@ class TestFixedBaseTable:
         params = generate_dh_params(64, random.Random(6))
         twin = DhParams(p=params.p, w=params.w)
         before = repr(params)
-        for x in range(2, FIXED_BASE_AFTER + 4):
+        for x in range(2, 5):
             keypair_from_private(params, x)
-        assert params._fixed_base.rows
+        assert vars(params)["_rows"]
         assert params == twin and twin == params
         assert hash(params) == hash(twin)
         assert {twin: "group"}[params] == "group"
@@ -508,17 +499,15 @@ class TestFixedBaseTable:
         assert dataclasses.asdict(params) == {"p": params.p, "w": params.w}
 
     def test_each_simulation_builds_its_own_table(self):
-        config = SimConfig(n_vehicles=FIXED_BASE_AFTER + 2, dh_bits=64, duration=1.0)
+        config = SimConfig(n_vehicles=3, dh_bits=64, duration=1.0)
         first, second = Simulation(config), Simulation(config)
-        group = first.nodes[1].dh_params
-        assert group == second.nodes[1].dh_params
-        tables = [sim.nodes[1].dh_params._fixed_base for sim in (first, second)]
+        groups = [sim.nodes[1].dh_params for sim in (first, second)]
+        assert groups[0] == groups[1]
+        assert groups[0] is not groups[1]
+        tables = [vars(group)["_rows"] for group in groups]
+        assert tables[0]
+        assert tables[0] == tables[1]
         assert tables[0] is not tables[1]
-        for table in tables:
-            assert table.calls == config.n_vehicles
-            assert table.rows
-        assert tables[0].rows == tables[1].rows
-        assert tables[0].rows is not tables[1].rows
 
 
 class TestSharedSecret:

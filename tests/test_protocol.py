@@ -16,7 +16,6 @@ from beaconkx.codec import (
     magnitude_to_int,
 )
 from beaconkx.dh import (
-    FIXED_BASE_AFTER,
     DhError,
     DhKeyPair,
     DhParams,
@@ -368,7 +367,7 @@ class TestFleetMemo:
             assert b.neighbors[1].key is None
         # The group has its table, and the registered value still takes
         # the range check each time.
-        assert params._fixed_base.rows
+        assert vars(params)["_rows"]
         assert secret_calls.count((23, b_private, a_public, a_private)) == 3
 
     def test_foreign_group_beacon_in_global_mode_agrees_on_a_key(self, secret_calls):
@@ -422,15 +421,13 @@ class TestFleetMemo:
         memo = SecretMemo()
         a = fleet_node(1, params, 4, memo)
         b = fleet_node(2, params, 5, memo)
-        for _ in range(FIXED_BASE_AFTER):
-            keypair_from_private(params, 2)
         ack = b.on_receive_beacon(a.on_timer_beacon(0.0), 0.1)
         a.on_receive_ack(ack, 0.2)
         key = derive_symmetric_key(pow(11, 4, 21))
         assert derive_symmetric_key(pow(2, 20 % 20, 21)) != key
         assert a.neighbors[2].key == b.neighbors[1].key == key
-        assert params._fixed_base.rows
-        assert params._fixed_base._reducible is False
+        assert vars(params)["_rows"]
+        assert vars(params)["_reducible"] is False
         assert secret_calls == [(21, 5, 16, 4)]
 
 

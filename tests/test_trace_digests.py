@@ -98,16 +98,10 @@ def test_trace_and_metrics_digest_pinned(name):
     assert run_digest(CONFIGS[name]) == DIGESTS[name]
 
 
-def test_shared_groups_compute_from_their_table():
-    # The pinned runs cover the fixed-base table, not only builtin pow:
-    # every global group here makes enough key pairs in set-up to build
-    # one, and each per-node group builds its own during the run, from
-    # the responder pairs and secrets in it.
+def test_every_group_has_its_table_when_set_up_ends():
+    # The pinned runs cover the fixed-base table: each vehicle's key pair
+    # is made in set-up, from its group's table, whether the group is
+    # shared or its own.
     for name, config in CONFIGS.items():
         sim = Simulation(config)
-        group = sim.nodes[1].dh_params
-        built = bool(group._fixed_base.rows)
-        assert built is (config.dh_mode is DhMode.GLOBAL_PARAMS), name
-        if not built:
-            sim.run()
-            assert all(node.dh_params._fixed_base.rows for node in sim.nodes.values()), name
+        assert all(vars(node.dh_params).get("_rows") for node in sim.nodes.values()), name
