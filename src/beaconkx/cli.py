@@ -185,7 +185,7 @@ def _load_config(path: str) -> SimConfig | None:
     try:
         return parse_config_text(text)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {path}: {exc}", file=sys.stderr)
     return None
 
 
@@ -278,7 +278,7 @@ def _cmd_vectors(args) -> int:
     failure = check_vector_lines(text.splitlines())
     if failure is not None:
         lineno, reason = failure
-        print(f"error: line {lineno}: {reason}", file=sys.stderr)
+        print(f"error: {args.check}: line {lineno}: {reason}", file=sys.stderr)
         return EXIT_USAGE
     print(f"{args.check}: all vectors decode and re-encode cleanly")
     return EXIT_OK

@@ -30,17 +30,15 @@ derive one key. ACKs always carry a bare public value.
 Groups and keys live in a :class:`SecretMemo` that a simulation shares
 across its fleet. It holds one group object per ``(p, w)``, so a beacon
 that names a group reads it from there, and every key pair and secret
-in a group uses that object's fixed-base table. Keys derived from
-shared secrets are kept by the inputs of the exponentiation ``(p, own
-private exponent, peer public value)``. Both ends of an exchange need
-the same value, since ``Y^x = X^y`` when ``X = w^x`` and ``Y = w^y``, so
-the end that computes it first also stores it under the other end's
-inputs. The program knows ``y`` for every key pair it generated, so an
-exchange with such a pair is computed from the group's table, as
-``w^(x*y mod (p-1))``. The mirror entry is written only when both pairs
-are the program's own, in one group, and only when the other end's peer
-value passes the range check; anything else is computed, and checked,
-on every arrival.
+in a group uses that object's fixed-base table. Every key pair the
+program draws comes from the memo, which records its exponent, and an
+exchange's key is kept under the group and both exponents, ``(p, w,
+min(x, y), max(x, y))``: both ends need the same value, since ``Y^x =
+X^y`` when ``X = w^x`` and ``Y = w^y``, so the end that computes it
+first serves the other and every repeat. Knowing ``y``, the memo
+computes that value from the group's table, as ``w^(x*y mod (p-1))``.
+A public value the memo did not draw is computed, and checked, on
+every arrival.
 """
 
 from __future__ import annotations
@@ -95,7 +93,6 @@ def distance(a: Position, b: Position) -> float:
 
 @dataclass
 class NeighborEntry:
-    node_id: int
     position: Position
     last_seen: float
     key: bytes | None = None
@@ -104,61 +101,54 @@ class NeighborEntry:
 class SecretMemo:
     """The groups, key pairs and exchange keys a fleet shares.
 
-    ``share`` and ``group`` hand out one ``DhParams`` object per ``(p,
-    w)``, so one fixed-base table serves every key pair and secret in a
-    group. ``register`` records each key pair the program generates under
-    ``(p, w, public)``. ``key`` returns the key of ``pow(peer_public, own
-    private, p)``, computing it on a miss; when ``peer_public`` is
-    registered in the exchange's group, it passes that pair's exponent
-    ``y`` to ``compute_shared_secret``, which can then use the group's
-    table. When both public values are registered, it also stores the key
-    under the peer's inputs ``(p, y, X)``, because ``X^y = Y^x``. The
-    peer's range check on ``X`` is applied before that, so the mirror
-    entry answers exactly as ``compute_shared_secret`` would.
+    ``group`` hands out one ``DhParams`` object per ``(p, w)``, so one
+    fixed-base table serves every key pair and secret in a group.
+    ``keypair`` draws a key pair and records its exponent under ``(p, w,
+    public)``, so every value recorded is a real ``w^y`` in ``[2, p-2]``.
+    ``key`` returns the key of ``pow(peer_public, own private, p)``. When
+    the memo drew ``peer_public``, the key is the exchange's, kept under
+    ``(p, w)`` and both exponents and computed once from the group's
+    table; any other value is computed, and checked, on every arrival.
     """
 
     def __init__(self) -> None:
         self._groups: dict[tuple[int, int], DhParams] = {}
         self._private: dict[tuple[int, int, int], int] = {}
-        self._keys: dict[tuple[int, int, int], bytes] = {}
-
-    def share(self, params: DhParams) -> DhParams:
-        """The fleet's object for ``params``' group: the first one shared."""
-        return self._groups.setdefault((params.p, params.w), params)
+        self._keys: dict[tuple[int, int, int, int], bytes] = {}
 
     def group(self, p: int, w: int) -> DhParams:
         """The fleet's object for the group ``(p, w)``, made on first use.
 
         Raises:
             DhError: if ``w`` is outside ``[2, p)``, or a new group fails
-                ``check_group``: no responder key pair could be drawn in it.
+                ``check_group``: no key pair could be drawn in it.
         """
-        return self._groups.get((p, w)) or self.share(check_group(DhParams(p, w)))
+        group = self._groups.get((p, w))
+        if group is None:
+            group = self._groups[p, w] = check_group(DhParams(p, w))
+        return group
 
-    def register(self, params: DhParams, keypair: DhKeyPair) -> None:
-        self._private[(params.p, params.w, keypair.public_value)] = (
+    def keypair(self, params: DhParams, rng: random.Random) -> DhKeyPair:
+        """A key pair drawn from ``rng`` in ``params``, its exponent recorded."""
+        keypair = generate_keypair(params, rng)
+        self._private[params.p, params.w, keypair.public_value] = (
             keypair.private_exponent)
+        return keypair
 
     def key(self, params: DhParams, own: DhKeyPair, peer_public: int) -> bytes | None:
-        """The exchange's key, or None when ``peer_public`` is rejected.
-
-        A rejected value is never remembered, so it is checked again on
-        every arrival.
-        """
-        p, x, own_public = params.p, own.private_exponent, own.public_value
-        key = self._keys.get((p, x, peer_public))
-        if key is not None:
-            return key
-        private = self._private
-        y = private.get((p, params.w, peer_public))
-        try:
-            secret = compute_shared_secret(params, x, peer_public, y)
-        except DhError:
-            return None
-        key = self._keys[(p, x, peer_public)] = derive_symmetric_key(secret)
-        if (y is not None and private.get((p, params.w, own_public)) == x
-                and 2 <= own_public <= p - 2):
-            self._keys[(p, y, own_public)] = key
+        """The exchange's key, or None when ``peer_public`` is rejected."""
+        p, w, x = params.p, params.w, own.private_exponent
+        y = self._private.get((p, w, peer_public))
+        slot = None if y is None else (p, w, x, y) if x < y else (p, w, y, x)
+        key = self._keys.get(slot)
+        if key is None:
+            try:
+                key = derive_symmetric_key(
+                    compute_shared_secret(params, x, peer_public, y))
+            except DhError:
+                return None
+            if slot is not None:
+                self._keys[slot] = key
         return key
 
 
@@ -375,7 +365,7 @@ class NodeState:
     def _refresh_entry(self, node_id: int, position: Position, now: float) -> NeighborEntry:
         entry = self.neighbors.get(node_id)
         if entry is None:
-            entry = NeighborEntry(node_id=node_id, position=position, last_seen=now)
+            entry = NeighborEntry(position=position, last_seen=now)
             self.neighbors[node_id] = entry
         else:
             entry.position = position
@@ -387,8 +377,7 @@ class NodeState:
         cached = self._responder_keys.get(peer_id)
         if cached is not None and cached[0] == params:
             return cached[1]
-        keypair = generate_keypair(params, self.rng)
-        self.memo.register(params, keypair)
+        keypair = self.memo.keypair(params, self.rng)
         self._responder_keys[peer_id] = (params, keypair)
         return keypair
 
@@ -404,16 +393,14 @@ def make_node(node_id: int, position: Position, config: NodeConfig,
     gets its own.
     """
     memo = SecretMemo() if memo is None else memo
-    params = memo.share(params)
-    keypair = generate_keypair(params, rng)
-    memo.register(params, keypair)
+    params = memo.group(params.p, params.w)
     return NodeState(
         node_id=node_id,
         own_position=position,
         config=config,
         dh_mode=dh_mode,
         dh_params=params,
-        keypair=keypair,
+        keypair=memo.keypair(params, rng),
         rng=rng,
         memo=memo,
     )

@@ -122,10 +122,11 @@ class Trace:
         the events about a pair: ``beacon_rx``, ``ack_tx``, ``ack_rx``,
         ``key_established``, ``neighbor_expired`` and ``route_hop``), ``t``
         and both ``pos`` coordinates finite numbers, ``ev`` a string and
-        ``extra`` an object; a transmission's ``extra`` holds the integer
-        ``len`` the metrics replay sums. Anything else, or a time earlier
-        than the line before, raises ``TraceFormatError`` naming its line
-        number: the replay needs well-typed records in time order.
+        ``extra`` an object; a transmission's ``extra`` holds the
+        non-negative integer ``len`` the metrics replay sums. Anything
+        else, or a time earlier than the line before, raises
+        ``TraceFormatError`` naming its line number: the replay needs
+        well-typed records in time order.
 
         A line in the exact form ``to_jsonl`` writes, with a flat ``extra``,
         is read without the JSON decoder: its fields are converted from the
@@ -156,7 +157,8 @@ class Trace:
                         extra = extras[extra_text] = loads(extra_text)
                     if (isfinite(t) and isfinite(x) and isfinite(y)
                             and (peer is not None or ev not in _PEERED)
-                            and (ev not in _TRANSMISSIONS or type(extra.get("len")) is int)):
+                            and (ev not in _TRANSMISSIONS
+                                 or type(length := extra.get("len")) is int and length >= 0)):
                         record = TraceRecord(t, ev, node, peer, (x, y), dict(extra))
                 except ValueError:  # an integer past int's digit limit, or bad extra JSON
                     pass
@@ -207,8 +209,8 @@ def _parse_line(line: str) -> TraceRecord:
         raise ValueError(f"t {t!r} or pos {pos!r} is not finite")
     if type(extra) is not dict:
         raise ValueError(f"extra {extra!r} is not an object")
-    if ev in _TRANSMISSIONS and type(extra["len"]) is not int:
-        raise ValueError(f"len {extra['len']!r} is not an integer")
+    if ev in _TRANSMISSIONS and not (type(extra["len"]) is int and extra["len"] >= 0):
+        raise ValueError(f"len {extra['len']!r} is not a non-negative integer")
     return TraceRecord(t, ev, node, peer, (x, y), extra)
 
 

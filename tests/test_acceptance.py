@@ -299,7 +299,7 @@ def _static_nodes(positions, radio_range):
     for a, b in pairs_in_range(points, radio_range):
         for node_id, peer in ((a, b), (b, a)):
             nodes[node_id].neighbors[peer] = NeighborEntry(
-                peer, positions[peer], last_seen=0.0, key=b"\x00" * 16)
+                positions[peer], last_seen=0.0, key=b"\x00" * 16)
     return nodes
 
 

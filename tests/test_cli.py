@@ -220,6 +220,10 @@ class TestMetricsCommand:
         '"pos": [0.0, 0.0], "extra": {"len": 19.7}}',
         '{"t": 1.0, "ev": "beacon_tx", "node": 1, "peer": null, '
         '"pos": [0.0, 0.0], "extra": {"len": "19"}}',
+        '{"t": 1.0, "ev": "beacon_tx", "node": 1, "peer": null, '
+        '"pos": [0.0, 0.0], "extra": {"len": -5}}',            # read by the fast path
+        '{"t":1.0,"ev":"beacon_tx","node":1,"peer":null,'
+        '"pos":[0.0,0.0],"extra":{"len":-5}}',
         '{"t": 1.0, "ev": "beacon_rx", "node": 1, "peer": 2, '
         '"pos": [0.0, 0.0, 0.0], "extra": {}}',
         '{"t": 1.0, "ev": "beacon_tx", "node": 1, "peer": null, '
@@ -377,19 +381,35 @@ class TestVectorsCommand:
         assert check_vector_lines(golden_vector_lines()) is None
 
 
+def reading(command: str, path: Path, tmp_path: Path) -> list[str]:
+    """Arguments for ``command`` reading ``path`` as its config or vector file."""
+    return {
+        "run": ["run", "--config", str(path), "--trace", str(tmp_path / "t.jsonl"),
+                "--metrics", str(tmp_path / "m.json")],
+        "metrics": ["metrics", "--config", str(path), "--trace", str(tmp_path / "t.jsonl")],
+        "vectors": ["vectors", "--check", str(path)],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["run", "metrics", "vectors"])
 def test_non_utf8_input_file_exits_2_naming_it_and_the_line(tmp_path, capsys, command):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes(b"sim.n_vehicles = 2\n# caf\xe9\n")
-    argv = {
-        "run": ["run", "--config", str(bad), "--trace", str(tmp_path / "t.jsonl"),
-                "--metrics", str(tmp_path / "m.json")],
-        "metrics": ["metrics", "--config", str(bad), "--trace", str(tmp_path / "t.jsonl")],
-        "vectors": ["vectors", "--check", str(bad)],
-    }[command]
-    assert main(argv) == 2
+    assert main(reading(command, bad, tmp_path)) == 2
     err = capsys.readouterr().err
     assert "latin1.txt" in err and "line 2" in err
+
+
+@pytest.mark.parametrize("command, reason", [
+    ("run", "line 2: unknown key 'sim.bogus'"),
+    ("metrics", "line 2: unknown key 'sim.bogus'"),
+    ("vectors", "line 1: not a space-separated hex dump"),
+])
+def test_bad_input_line_exits_2_naming_its_file(tmp_path, capsys, command, reason):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("sim.n_vehicles = 2\nsim.bogus = 1\n")
+    assert main(reading(command, bad, tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
 
 
 class TestUsage:

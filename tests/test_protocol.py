@@ -52,6 +52,22 @@ def textbook_node(node_id: int, private: int, pos=Position(0.0, 0.0),
     )
 
 
+@pytest.fixture
+def secret_calls(monkeypatch):
+    """The inputs of every exponentiation ``protocol`` asks for."""
+    import beaconkx.protocol as protocol
+
+    calls = []
+    original = protocol.compute_shared_secret
+
+    def recorded(params, own_private, peer_public, peer_private=None):
+        calls.append((params.p, own_private, peer_public, peer_private))
+        return original(params, own_private, peer_public, peer_private)
+
+    monkeypatch.setattr(protocol, "compute_shared_secret", recorded)
+    return calls
+
+
 class TestNodeConfig:
     def test_defaults_valid(self):
         cfg = NodeConfig()
@@ -87,14 +103,14 @@ class TestEffectiveInterval:
         node = textbook_node(1, 6, adaptive=True, target_degree=8,
                              adapt_gain=0.5)
         for peer in range(2, 10):  # exactly 8 neighbors
-            node.neighbors[peer] = NeighborEntry(peer, Position(1.0, 1.0), 0.0)
+            node.neighbors[peer] = NeighborEntry(Position(1.0, 1.0), 0.0)
         assert node.effective_beacon_interval() == pytest.approx(1.0)
 
     def test_double_target_degree(self):
         node = textbook_node(1, 6, adaptive=True, target_degree=8,
                              adapt_gain=0.5, interval_max=3.0)
         for peer in range(2, 18):  # 16 neighbors
-            node.neighbors[peer] = NeighborEntry(peer, Position(1.0, 1.0), 0.0)
+            node.neighbors[peer] = NeighborEntry(Position(1.0, 1.0), 0.0)
         assert node.effective_beacon_interval() == pytest.approx(1.5)
 
     def test_sparse_node_beacons_no_less_often(self):
@@ -108,7 +124,7 @@ class TestEffectiveInterval:
                              interval_max=2.0)
         assert node.effective_beacon_interval() == 0.5  # degree 0, floor
         for peer in range(2, 30):
-            node.neighbors[peer] = NeighborEntry(peer, Position(1.0, 1.0), 0.0)
+            node.neighbors[peer] = NeighborEntry(Position(1.0, 1.0), 0.0)
         assert node.effective_beacon_interval() == 2.0  # ceiling
 
     def test_monotone_in_degree(self):
@@ -117,7 +133,7 @@ class TestEffectiveInterval:
                              interval_max=5.0)
         previous = node.effective_beacon_interval()
         for peer in range(2, 20):
-            node.neighbors[peer] = NeighborEntry(peer, Position(1.0, 1.0), 0.0)
+            node.neighbors[peer] = NeighborEntry(Position(1.0, 1.0), 0.0)
             current = node.effective_beacon_interval()
             assert current >= previous
             previous = current
@@ -146,7 +162,7 @@ class TestBeaconTimer:
         # The caller runs expiry once per timer, before the beacon, so
         # that every drop is recorded; the timer keeps the table whole.
         node = textbook_node(1, 6)
-        node.neighbors[9] = NeighborEntry(9, Position(1.0, 1.0), last_seen=0.0)
+        node.neighbors[9] = NeighborEntry(Position(1.0, 1.0), last_seen=0.0)
         node.on_timer_beacon(10.0)
         assert 9 in node.neighbors
         assert node.expire_neighbors(10.0) == [9]
@@ -176,17 +192,23 @@ class TestHandshake:
         entry = initiator.neighbors[2]
         assert entry.key == responder.neighbors[1].key == KEY_FOR_SECRET_2
 
-    def test_repeat_beacon_refreshes_without_rekeying(self):
-        initiator = textbook_node(1, 6)
-        responder = textbook_node(2, 15)
+    def test_repeat_beacon_refreshes_without_rekeying(self, secret_calls):
+        memo = SecretMemo()
+        initiator, responder = (
+            make_node(node_id, Position(float(node_id), 0.0), NodeConfig(),
+                      DhMode.GLOBAL_PARAMS, random.Random(node_id), TEXTBOOK_PARAMS,
+                      memo)
+            for node_id in (1, 2))
         beacon = initiator.on_timer_beacon(0.0)
         responder.on_receive_beacon(beacon, 0.1)
         key_before = responder.neighbors[1].key
+        assert len(secret_calls) == 1
 
         ack = responder.on_receive_beacon(beacon, 1.1)
         assert ack is not None  # responder stays stateless, always answers
         assert responder.neighbors[1].last_seen == 1.1
         assert responder.neighbors[1].key is key_before
+        assert len(secret_calls) == 1
 
     def test_zero_public_value_stores_entry_without_key(self):
         responder = textbook_node(2, 15)
@@ -310,45 +332,34 @@ class TestPerNodeParams:
             node.memo.group(p, w)
 
 
-def fleet_node(node_id: int, params: DhParams, private: int, memo: SecretMemo,
-               mode=DhMode.GLOBAL_PARAMS, keypair: DhKeyPair | None = None) -> NodeState:
-    """Node with a forced exponent sharing ``memo``.
-
-    Its key pair is registered unless a ``keypair`` is forced as well.
-    """
-    node = NodeState(node_id=node_id, own_position=Position(float(node_id), 0.0),
+def fleet_node(node_id: int, params: DhParams, keypair: DhKeyPair, memo: SecretMemo,
+               mode=DhMode.GLOBAL_PARAMS) -> NodeState:
+    """Node holding ``keypair`` in ``params`` and sharing ``memo``."""
+    return NodeState(node_id=node_id, own_position=Position(float(node_id), 0.0),
                      config=NodeConfig(), dh_mode=mode, dh_params=params,
-                     keypair=keypair or keypair_from_private(params, private),
-                     rng=random.Random(node_id), memo=memo)
-    if keypair is None:
-        memo.register(params, node.keypair)
-    return node
+                     keypair=keypair, rng=random.Random(node_id), memo=memo)
+
+
+def drawn_node(node_id: int, params: DhParams, seed: int, memo: SecretMemo,
+               mode=DhMode.GLOBAL_PARAMS) -> NodeState:
+    """Node holding a key pair that ``memo`` draws from ``random.Random(seed)``."""
+    return fleet_node(node_id, params, memo.keypair(params, random.Random(seed)),
+                      memo, mode)
 
 
 class TestFleetMemo:
-    @pytest.fixture
-    def secret_calls(self, monkeypatch):
-        import beaconkx.protocol as protocol
-
-        calls = []
-        original = protocol.compute_shared_secret
-
-        def recorded(params, own_private, peer_public, peer_private=None):
-            calls.append((params.p, own_private, peer_public, peer_private))
-            return original(params, own_private, peer_public, peer_private)
-
-        monkeypatch.setattr(protocol, "compute_shared_secret", recorded)
-        return calls
-
-    def test_mirror_serves_the_other_end(self, secret_calls):
+    def test_one_secret_call_serves_both_ends(self, secret_calls):
         memo = SecretMemo()
-        a = fleet_node(1, TEXTBOOK_PARAMS, 6, memo)
-        b = fleet_node(2, TEXTBOOK_PARAMS, 15, memo)
-        ack = b.on_receive_beacon(a.on_timer_beacon(0.0), 0.1)
-        a.on_receive_ack(ack, 0.2)
-        assert secret_calls == [(23, 15, 8, 6)]
+        a = drawn_node(1, TEXTBOOK_PARAMS, 1, memo)
+        b = drawn_node(2, TEXTBOOK_PARAMS, 2, memo)
+        x, a_public = a.keypair.private_exponent, a.keypair.public_value
+        y = b.keypair.private_exponent
+        for t in (0.0, 1.0):
+            ack = b.on_receive_beacon(a.on_timer_beacon(t), t + 0.1)
+            a.on_receive_ack(ack, t + 0.2)
+        assert secret_calls == [(23, y, a_public, x)]
         assert a.neighbors[2].key == b.neighbors[1].key == derive_symmetric_key(
-            pow(8, 15, 23))
+            pow(5, x * y, 23))
 
     @pytest.mark.parametrize("params, a_private, b_private", [
         (DhParams(23, 22), 5, 4),   # w of order 2: every public value is 22 or 1
@@ -356,27 +367,27 @@ class TestFleetMemo:
     ])
     def test_out_of_range_public_value_is_checked_on_every_arrival(
             self, secret_calls, params, a_private, b_private):
+        # The memo draws only values in [2, p-2], so an out-of-range one is
+        # a hand-built pair's, and it is never looked up by its exponent.
         memo = SecretMemo()
-        a = fleet_node(1, params, a_private, memo)
-        b = fleet_node(2, params, b_private, memo)
+        a = fleet_node(1, params, keypair_from_private(params, a_private), memo)
+        b = fleet_node(2, params, keypair_from_private(params, b_private), memo)
         a_public = a.keypair.public_value
         assert not 2 <= a_public <= params.p - 2
         for t in (0.0, 1.0, 2.0):
             ack = a.on_receive_beacon(b.on_timer_beacon(t), t + 0.1)
             b.on_receive_ack(ack, t + 0.2)
             assert b.neighbors[1].key is None
-        # The group has its table, and the registered value still takes
-        # the range check each time.
-        assert vars(params)["_rows"]
-        assert secret_calls.count((23, b_private, a_public, a_private)) == 3
+        assert secret_calls.count((23, b_private, a_public, None)) == 3
 
     def test_foreign_group_beacon_in_global_mode_agrees_on_a_key(self, secret_calls):
         # A global-mode node answers a beacon in another group (same p,
         # another w) with a responder pair drawn in that group, not with
         # its own pair, so both ends derive one key.
         memo = SecretMemo()
-        a = fleet_node(1, TEXTBOOK_PARAMS, 6, memo)
-        b = fleet_node(2, DhParams(23, 7), 2, memo, mode=DhMode.PER_NODE_PARAMS)
+        a = drawn_node(1, TEXTBOOK_PARAMS, 1, memo)
+        b = drawn_node(2, DhParams(23, 7), 2, memo, mode=DhMode.PER_NODE_PARAMS)
+        y, b_public = b.keypair.private_exponent, b.keypair.public_value
         beacon = b.on_timer_beacon(0.0)
         assert beacon.version == 2
         ack = a.on_receive_beacon(beacon, 0.1)
@@ -384,63 +395,76 @@ class TestFleetMemo:
         assert responder != a.keypair
         assert magnitude_to_int(ack.public_value) == responder.public_value
         b.on_receive_ack(ack, 0.2)
-        key = derive_symmetric_key(pow(7, 2 * responder.private_exponent, 23))
+        key = derive_symmetric_key(pow(7, y * responder.private_exponent, 23))
         assert a.neighbors[2].key == b.neighbors[1].key == key
-        assert secret_calls == [(23, responder.private_exponent, 3, 2)]
+        assert secret_calls == [(23, responder.private_exponent, b_public, y)]
 
-    def test_same_p_another_w_is_not_mirrored(self, secret_calls):
-        # Node 1's 8 = 5^6 is registered in the 23/5 group, not in 23/7, so
-        # an exchange in 23/7 with 8 writes no mirror; one keyed by p alone
-        # would hand the 23/5 exchange the wrong key.
+    def test_same_p_another_w_is_another_exchange(self, secret_calls):
+        # Seeds 1 and 2 draw exponents 6 and 3 in both 23/5 and 23/7, and
+        # seed 6 draws 20 in 23/7, whose public value is 23/5's 5^6 = 8.
+        # Keyed by p alone, the exponents or the values would collide.
         memo = SecretMemo()
-        a = keypair_from_private(TEXTBOOK_PARAMS, 6)
-        b = keypair_from_private(DhParams(23, 7), 2)
-        memo.register(TEXTBOOK_PARAMS, a)
-        memo.register(DhParams(23, 7), b)
-        assert memo.key(DhParams(23, 7), b, a.public_value) == derive_symmetric_key(
-            pow(8, 2, 23))
-        assert memo.key(TEXTBOOK_PARAMS, a, b.public_value) == derive_symmetric_key(
-            pow(3, 6, 23))
-        assert secret_calls == [(23, 2, 8, None), (23, 6, 3, None)]
+        five, seven = TEXTBOOK_PARAMS, DhParams(23, 7)
+        a5, b5, a7, b7, c7 = (memo.keypair(params, random.Random(seed)) for
+                              params, seed in ((five, 1), (five, 2), (seven, 1),
+                                               (seven, 2), (seven, 6)))
+        assert (a5.private_exponent, b5.private_exponent) == (
+            a7.private_exponent, b7.private_exponent) == (6, 3)
+        assert a5.public_value == c7.public_value == 8
+        assert memo.key(five, a5, b5.public_value) == derive_symmetric_key(
+            pow(5, 18, 23))
+        assert memo.key(five, b5, 8) == memo.key(five, a5, b5.public_value)
+        assert memo.key(seven, a7, b7.public_value) == derive_symmetric_key(
+            pow(7, 18, 23))
+        assert memo.key(seven, b7, 8) == derive_symmetric_key(pow(8, 3, 23))
+        assert pow(5, 18, 23) != pow(7, 18, 23) != pow(8, 3, 23)
+        assert secret_calls == [(23, 6, 10, 3), (23, 6, 21, 3), (23, 3, 8, 20)]
 
-    def test_unregistered_own_pair_is_not_mirrored(self, secret_calls):
-        # 9 is not 5^6: a mirror written for node 1's pair would be wrong.
+    def test_value_the_memo_did_not_draw_is_computed_on_every_arrival(
+            self, secret_calls):
+        # 9 is not 5^6, and the memo did not draw it: node 2 computes
+        # 9^y on every arrival, and nothing is kept for it.
         memo = SecretMemo()
-        a = fleet_node(1, TEXTBOOK_PARAMS, 6, memo, keypair=DhKeyPair(6, 9))
-        b = fleet_node(2, TEXTBOOK_PARAMS, 15, memo)
-        ack = a.on_receive_beacon(b.on_timer_beacon(0.0), 0.1)
-        b.on_receive_ack(ack, 0.2)
-        assert secret_calls == [(23, 6, 19, 15), (23, 15, 9, None)]
-        assert a.neighbors[2].key == derive_symmetric_key(pow(19, 6, 23))
-        assert b.neighbors[1].key == derive_symmetric_key(pow(9, 15, 23))
+        a = fleet_node(1, TEXTBOOK_PARAMS, DhKeyPair(6, 9), memo)
+        b = drawn_node(2, TEXTBOOK_PARAMS, 2, memo)
+        y, b_public = b.keypair.private_exponent, b.keypair.public_value
+        for t in (0.0, 1.0):
+            ack = a.on_receive_beacon(b.on_timer_beacon(t), t + 0.1)
+            b.on_receive_ack(ack, t + 0.2)
+        assert secret_calls == [(23, 6, b_public, y), (23, y, 9, None),
+                                (23, y, 9, None)]
+        assert a.neighbors[2].key == derive_symmetric_key(pow(b_public, 6, 23))
+        assert b.neighbors[1].key == derive_symmetric_key(pow(9, y, 23))
 
     def test_composite_modulus_stays_on_pow(self, secret_calls):
-        # 2^20 = 4 (mod 21), so the table's w^(x*y mod 20) is not pow's
+        # 2 has order 6 mod 21, so the table's w^(x*y mod 20) is not pow's
         # value: the group fails its check and its secrets use pow.
         params = DhParams(21, 2)
         memo = SecretMemo()
-        a = fleet_node(1, params, 4, memo)
-        b = fleet_node(2, params, 5, memo)
+        a = drawn_node(1, params, 1, memo)
+        b = drawn_node(2, params, 3, memo)
+        x, a_public = a.keypair.private_exponent, a.keypair.public_value
+        y, b_public = b.keypair.private_exponent, b.keypair.public_value
         ack = b.on_receive_beacon(a.on_timer_beacon(0.0), 0.1)
         a.on_receive_ack(ack, 0.2)
-        key = derive_symmetric_key(pow(11, 4, 21))
-        assert derive_symmetric_key(pow(2, 20 % 20, 21)) != key
+        key = derive_symmetric_key(pow(b_public, x, 21))
+        assert derive_symmetric_key(pow(2, x * y % 20, 21)) != key
         assert a.neighbors[2].key == b.neighbors[1].key == key
         assert vars(params)["_rows"]
         assert vars(params)["_reducible"] is False
-        assert secret_calls == [(21, 5, 16, 4)]
+        assert secret_calls == [(21, y, a_public, x)]
 
 
 class TestExpiry:
     def test_silent_entry_removed(self):
         node = textbook_node(1, 6, beacon_interval=1.0, expiry_multiplier=4.5)
-        node.neighbors[2] = NeighborEntry(2, Position(1.0, 1.0), last_seen=0.0)
+        node.neighbors[2] = NeighborEntry(Position(1.0, 1.0), last_seen=0.0)
         assert node.expire_neighbors(10.0) == [2]
         assert node.neighbors == {}
 
     def test_recent_entry_retained(self):
         node = textbook_node(1, 6, beacon_interval=1.0, expiry_multiplier=4.5)
-        node.neighbors[2] = NeighborEntry(2, Position(1.0, 1.0), last_seen=8.0)
+        node.neighbors[2] = NeighborEntry(Position(1.0, 1.0), last_seen=8.0)
         assert node.expire_neighbors(10.0) == []
         assert 2 in node.neighbors
 
@@ -450,14 +474,14 @@ class TestExpiry:
 
     def test_boundary_is_strict(self):
         node = textbook_node(1, 6, beacon_interval=1.0, expiry_multiplier=4.5)
-        node.neighbors[2] = NeighborEntry(2, Position(1.0, 1.0), last_seen=0.0)
+        node.neighbors[2] = NeighborEntry(Position(1.0, 1.0), last_seen=0.0)
         assert node.expire_neighbors(4.5) == []
         assert node.expire_neighbors(4.5000001) == [2]
 
 
 class TestGreedyNextHop:
     def add(self, node, peer, x, y, keyed=True):
-        entry = NeighborEntry(peer, Position(x, y), last_seen=0.0)
+        entry = NeighborEntry(Position(x, y), last_seen=0.0)
         if keyed:
             entry.key = KEY_FOR_SECRET_2
         node.neighbors[peer] = entry

@@ -575,7 +575,7 @@ class TestExpiryOncePerTimer:
 
 def record_secret_calls(monkeypatch) -> list[tuple[DhParams, int, int, int | None]]:
     """Patch the exponentiation ``protocol`` calls to record its inputs,
-    the peer's exponent included (None when the value is not registered)."""
+    the peer's exponent included (None when the memo did not draw the value)."""
     import beaconkx.protocol as protocol
 
     calls = []
@@ -761,8 +761,8 @@ class TestRouteProbe:
         node_b = make_node(2, Position(5.0, 0.0), NodeConfig(),
                            DhMode.GLOBAL_PARAMS, rng=random.Random(2),
                            params=params)
-        node_a.neighbors[2] = NeighborEntry(2, Position(8.0, 0.0), 0.0)
-        node_b.neighbors[1] = NeighborEntry(1, Position(9.0, 0.0), 0.0)
+        node_a.neighbors[2] = NeighborEntry(Position(8.0, 0.0), 0.0)
+        node_b.neighbors[1] = NeighborEntry(Position(9.0, 0.0), 0.0)
         result = route_probe({1: node_a, 2: node_b}, 1, Position(10.0, 0.0),
                              max_hops=2)
         assert result.outcome is RouteOutcome.HOP_LIMIT

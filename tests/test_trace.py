@@ -138,8 +138,9 @@ def reference_from_jsonl(text: str) -> list[TraceRecord]:
                 raise ValueError(f"t {t!r} or pos {pos!r} is not finite")
             if type(extra) is not dict:
                 raise ValueError(f"extra {extra!r} is not an object")
-            if ev in _TRANSMISSIONS and type(extra["len"]) is not int:
-                raise ValueError(f"len {extra['len']!r} is not an integer")
+            if ev in _TRANSMISSIONS and not (type(extra["len"]) is int
+                                             and extra["len"] >= 0):
+                raise ValueError(f"len {extra['len']!r} is not a non-negative integer")
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise TraceFormatError(f"line {lineno}: {_reason(exc)}") from exc
         if not t >= last_t:
@@ -274,6 +275,9 @@ REWRITES = {
     "plus sign t": _sub(r'"t": ', '"t": +'),
     "bare t fraction": _sub(r'"t": \d+', '"t": '),
     "float len": _sub(r'"len": (\d+)', r'"len": \1.0'),
+    "negative len": _sub(r'"len": (\d+)', r'"len": -\1'),
+    "negative len, no spaces": lambda line: _sub(r'"len":(\d+)', r'"len":-\1')(
+        line.replace(": ", ":").replace(", ", ",")),
     "blank": lambda line: "   ",
 }
 
