@@ -48,6 +48,28 @@ def _fmt_value(value: object) -> str:
     raise TypeError(f"unsupported extra value type: {type(value)!r}")
 
 
+# A bound on the one-integer ``extra`` texts ``to_jsonl`` keeps: the engine
+# writes a few packet lengths and one probe index per route probe.
+_ONE_INT_TEXTS = 64
+
+
+def _extra_text(extra: dict, quoted: dict[str, str]) -> str:
+    """The members of ``extra`` in key order, each key quoted once in ``quoted``."""
+    fields = []
+    for key, value in sorted(extra.items()) if len(extra) > 1 else extra.items():
+        name = quoted.get(key)
+        if name is None:
+            name = quoted[key] = json.dumps(key)
+        kind = type(value)
+        if kind is int:
+            fields.append(f"{name}: {value}")
+        elif kind is float:
+            fields.append(f"{name}: {value:.6f}")
+        else:
+            fields.append(f"{name}: {_fmt_value(value)}")
+    return ", ".join(fields)
+
+
 @dataclass(slots=True)
 class TraceRecord:
     """One trace event. Read-only by convention: nothing in the program
@@ -81,41 +103,65 @@ class Trace:
         return len(self.records)
 
     def to_jsonl(self) -> str:
-        """One line per record, each event name and extra key quoted once."""
+        """One line per record, each event name and extra key quoted once.
+
+        Records come in time order and a node keeps its position between
+        mobility ticks, so each instant's time is formatted once, and each
+        node's position once per move. The text of a one-integer ``extra``,
+        such as ``{"len": 83}``, is kept for up to ``_ONE_INT_TEXTS``
+        distinct items. A zero time or coordinate is never taken from the
+        last one: ``0.0 == -0.0``, but they print differently.
+        """
         quoted: dict[str, str] = {}
+        # node -> (pos, its text); kept only while neither coordinate is zero
+        positions: dict[int, tuple[tuple[float, float], str]] = {}
+        # (key, value) -> text, for an ``extra`` of one item whose value is an int
+        one_ints: dict[tuple[str, int], str] = {}
+        last_t = math.nan
         lines = []
         append = lines.append
         for record in self.records:
+            t = record.t
+            if t != last_t:
+                t_text = f"{t:.6f}"
+                last_t = t if t else math.nan
+            pos = record.pos
+            cached = positions.get(record.node)
+            if cached is not None and cached[0] == pos:
+                pos_text = cached[1]
+            else:
+                x, y = pos[0], pos[1]
+                pos_text = f"{x:.6f}, {y:.6f}"
+                if x and y:
+                    positions[record.node] = (pos, pos_text)
             ev = quoted.get(record.ev)
             if ev is None:
                 ev = quoted[record.ev] = json.dumps(record.ev)
             extra = record.extra
-            if extra:
-                fields = []
-                for key, value in sorted(extra.items()) if len(extra) > 1 else extra.items():
-                    name = quoted.get(key)
-                    if name is None:
-                        name = quoted[key] = json.dumps(key)
-                    kind = type(value)
-                    if kind is int:
-                        fields.append(f"{name}: {value}")
-                    elif kind is float:
-                        fields.append(f"{name}: {value:.6f}")
-                    else:
-                        fields.append(f"{name}: {_fmt_value(value)}")
-                extra_text = ", ".join(fields)
-            else:
+            if not extra:
                 extra_text = ""
+            elif len(extra) == 1 and type((item := next(iter(extra.items())))[1]) is int:
+                extra_text = one_ints.get(item)
+                if extra_text is None:
+                    extra_text = _extra_text(extra, quoted)
+                    if len(one_ints) < _ONE_INT_TEXTS:
+                        one_ints[item] = extra_text
+            else:
+                extra_text = _extra_text(extra, quoted)
             peer = record.peer
-            pos = record.pos
-            append(f'{{"t": {record.t:.6f}, "ev": {ev}, "node": {record.node}, '
+            append(f'{{"t": {t_text}, "ev": {ev}, "node": {record.node}, '
                    f'"peer": {"null" if peer is None else peer}, '
-                   f'"pos": [{pos[0]:.6f}, {pos[1]:.6f}], "extra": {{{extra_text}}}}}\n')
+                   f'"pos": [{pos_text}], "extra": {{{extra_text}}}}}\n')
         return "".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
         """Parse ``to_jsonl`` text; blank lines are skipped.
+
+        A line ends at a line feed alone, as ``to_jsonl`` writes it; a
+        carriage return before it is JSON whitespace, so a CR LF file reads
+        the same. Any other line break Unicode knows, such as U+2028 in an
+        ``extra`` string, is part of the line.
 
         Each line must hold a record of the types ``to_jsonl`` writes:
         ``node`` and ``peer`` JSON integers (``peer`` may be null except on
@@ -144,7 +190,7 @@ class Trace:
         records: list[TraceRecord] = []
         append = records.append
         last_t = -math.inf
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             record = None
             match = canonical(line)
             if match is not None:
@@ -178,16 +224,17 @@ class Trace:
         return cls(records)
 
 
-# The line ``to_jsonl`` writes. Numbers follow JSON's grammar (no leading
-# zero, ``[0-9]`` rather than any Unicode digit ``int`` would take), and
-# ``extra`` holds no list or object: a shallow copy of its decoded dict is
-# a full one, and decoding it cannot recurse.
+# The line ``to_jsonl`` writes, and the ``\r`` a ``\r\n`` file leaves at its
+# end. Numbers follow JSON's grammar (no leading zero, ``[0-9]`` rather
+# than any Unicode digit ``int`` would take), and ``extra`` holds no list
+# or object: a shallow copy of its decoded dict is a full one, and
+# decoding it cannot recurse.
 _INT = r"-?(?:0|[1-9][0-9]*)"
 _FLOAT = _INT + r"\.[0-9]+"
 _CANONICAL_LINE = re.compile(
     r'\{"t": (' + _FLOAT + r'), "ev": "([a-z_]+)", "node": (' + _INT + r'), '
     r'"peer": (null|' + _INT + r'), "pos": \[(' + _FLOAT + r'), (' + _FLOAT + r')\], '
-    r'"extra": (\{[^][{}]*\})\}')
+    r'"extra": (\{[^][{}]*\})\}\r?')
 
 
 def _parse_line(line: str) -> TraceRecord:

@@ -78,6 +78,42 @@ def test_writer_equals_reference(records):
     assert Trace(records).to_jsonl() == reference_jsonl(records)
 
 
+# Few values, so records repeat the writer's last time, a node's last
+# position and an ``extra`` item on purpose: ``-0.0`` equals ``0.0`` and
+# ``True`` and ``1.0`` equal ``1``, each hashing alike, yet each prints
+# differently.
+REPEATED = st.sampled_from([0.0, -0.0, 1.5, math.nan, math.inf, 2.0**60])
+REPEATING_RECORDS = st.builds(
+    TraceRecord,
+    t=REPEATED,
+    ev=st.just("beacon_rx"),
+    node=st.sampled_from([1, 2]),
+    peer=st.just(2),
+    pos=st.tuples(REPEATED, REPEATED),
+    extra=st.sampled_from([1, True, 1.0]).map(lambda v: {"len": v}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(REPEATING_RECORDS, max_size=12))
+def test_writer_equals_reference_on_repeated_values(records):
+    assert Trace(records).to_jsonl() == reference_jsonl(records)
+
+
+def _at(t, pos):
+    return TraceRecord(t, "beacon_rx", 1, 2, pos, {"len": 1})
+
+
+@pytest.mark.parametrize("records", [
+    [_at(1.0, (0.0, 5.0)), _at(2.0, (-0.0, 5.0)), _at(3.0, (0.0, 5.0))],
+    [_at(0.0, (1.0, 2.0)), _at(-0.0, (1.0, 2.0))],
+], ids=["position", "time"])
+def test_writer_keeps_the_sign_of_a_repeated_zero(records):
+    text = Trace(records).to_jsonl()
+    assert text == reference_jsonl(records)
+    assert "-0.000000" in text
+
+
 @pytest.mark.parametrize("value", [None, [1], 1j])
 def test_unsupported_extra_value_is_a_type_error(value):
     record = TraceRecord(0.0, "beacon_tx", 1, None, (0.0, 0.0), {"a": 1, "b": value})
@@ -117,7 +153,7 @@ def reference_from_jsonl(text: str) -> list[TraceRecord]:
     """Every line through ``json.loads``: the reader before its fast path."""
     records: list[TraceRecord] = []
     last_t = -math.inf
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -290,3 +326,33 @@ def test_reader_agrees_with_reference_on_rewritten_lines(rewrite):
     for index, line in enumerate(changed):
         assert_readers_agree(lines[:index] + (line,) + lines[index + 1:])
     assert_readers_agree(changed)
+
+
+LINE = ('{"t": 1.000000, "ev": "key_established", "node": 1, "peer": 2, '
+        '"pos": [3.000000, 4.000000], "extra": {"key": "a%sb"}}')
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"],
+                         ids=["U+0085", "U+2028", "U+2029"])
+def test_a_line_ends_at_newline_only(char):
+    """A line break other than a line feed inside an ``extra`` string is
+    part of the line, so a later line's error names the line that line
+    feeds count to."""
+    line = LINE % char
+    [record] = Trace.from_jsonl(line + "\n").records
+    assert record.extra == {"key": f"a{char}b"}
+    with pytest.raises(TraceFormatError, match="^line 2: missing field 't'$"):
+        Trace.from_jsonl(line + "\n{}\n")
+
+
+def test_a_lone_carriage_return_is_whitespace_inside_a_line():
+    line = (LINE % "").replace('"peer": 2, ', '"peer": 2,\r')
+    [record] = Trace.from_jsonl(line + "\n").records
+    assert (record.node, record.peer, record.pos) == (1, 2, (3.0, 4.0))
+
+
+def test_a_crlf_file_reads_like_its_lf_text():
+    text = "\n".join(saved_lines()) + "\n"
+    crlf = text.replace("\n", "\r\n")
+    assert Trace.from_jsonl(crlf).records == Trace.from_jsonl(text).records
+    assert all(_CANONICAL_LINE.fullmatch(line) for line in crlf.split("\n")[:-1])
