@@ -275,7 +275,7 @@ def _cmd_vectors(args) -> int:
     text = _read_text(args.check, "vector file")
     if text is None:
         return EXIT_USAGE
-    failure = check_vector_lines(text.splitlines())
+    failure = check_vector_lines(text.split("\n"))
     if failure is not None:
         lineno, reason = failure
         print(f"error: {args.check}: line {lineno}: {reason}", file=sys.stderr)

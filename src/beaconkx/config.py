@@ -101,9 +101,10 @@ def _parse_items(key: str, raw: str, sep: str, **kinds) -> tuple[tuple, ...]:
 
 
 def parse_config_text(text: str) -> SimConfig:
-    """Parse config text into a validated :class:`SimConfig`."""
+    """Parse config text into a validated :class:`SimConfig`; a line ends at
+    ``\\n`` alone, as the line numbers of its errors count them."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -48,28 +48,6 @@ def _fmt_value(value: object) -> str:
     raise TypeError(f"unsupported extra value type: {type(value)!r}")
 
 
-# A bound on the one-integer ``extra`` texts ``to_jsonl`` keeps: the engine
-# writes a few packet lengths and one probe index per route probe.
-_ONE_INT_TEXTS = 64
-
-
-def _extra_text(extra: dict, quoted: dict[str, str]) -> str:
-    """The members of ``extra`` in key order, each key quoted once in ``quoted``."""
-    fields = []
-    for key, value in sorted(extra.items()) if len(extra) > 1 else extra.items():
-        name = quoted.get(key)
-        if name is None:
-            name = quoted[key] = json.dumps(key)
-        kind = type(value)
-        if kind is int:
-            fields.append(f"{name}: {value}")
-        elif kind is float:
-            fields.append(f"{name}: {value:.6f}")
-        else:
-            fields.append(f"{name}: {_fmt_value(value)}")
-    return ", ".join(fields)
-
-
 @dataclass(slots=True)
 class TraceRecord:
     """One trace event. Read-only by convention: nothing in the program
@@ -107,16 +85,13 @@ class Trace:
 
         Records come in time order and a node keeps its position between
         mobility ticks, so each instant's time is formatted once, and each
-        node's position once per move. The text of a one-integer ``extra``,
-        such as ``{"len": 83}``, is kept for up to ``_ONE_INT_TEXTS``
-        distinct items. A zero time or coordinate is never taken from the
-        last one: ``0.0 == -0.0``, but they print differently.
+        node's position once per move. A zero time or coordinate is never
+        taken from the last one: ``0.0 == -0.0``, but they print
+        differently.
         """
         quoted: dict[str, str] = {}
         # node -> (pos, its text); kept only while neither coordinate is zero
         positions: dict[int, tuple[tuple[float, float], str]] = {}
-        # (key, value) -> text, for an ``extra`` of one item whose value is an int
-        one_ints: dict[tuple[str, int], str] = {}
         last_t = math.nan
         lines = []
         append = lines.append
@@ -141,13 +116,25 @@ class Trace:
             if not extra:
                 extra_text = ""
             elif len(extra) == 1 and type((item := next(iter(extra.items())))[1]) is int:
-                extra_text = one_ints.get(item)
-                if extra_text is None:
-                    extra_text = _extra_text(extra, quoted)
-                    if len(one_ints) < _ONE_INT_TEXTS:
-                        one_ints[item] = extra_text
+                key, value = item
+                name = quoted.get(key)
+                if name is None:
+                    name = quoted[key] = json.dumps(key)
+                extra_text = f"{name}: {value}"
             else:
-                extra_text = _extra_text(extra, quoted)
+                fields = []
+                for key, value in sorted(extra.items()) if len(extra) > 1 else extra.items():
+                    name = quoted.get(key)
+                    if name is None:
+                        name = quoted[key] = json.dumps(key)
+                    kind = type(value)
+                    if kind is int:
+                        fields.append(f"{name}: {value}")
+                    elif kind is float:
+                        fields.append(f"{name}: {value:.6f}")
+                    else:
+                        fields.append(f"{name}: {_fmt_value(value)}")
+                extra_text = ", ".join(fields)
             peer = record.peer
             append(f'{{"t": {t_text}, "ev": {ev}, "node": {record.node}, '
                    f'"peer": {"null" if peer is None else peer}, '

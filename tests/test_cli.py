@@ -412,6 +412,21 @@ def test_bad_input_line_exits_2_naming_its_file(tmp_path, capsys, command, reaso
     assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
 
 
+@pytest.mark.parametrize("command, reason", [
+    ("run", "line 2: unknown key 'sim.bogus'"),
+    ("metrics", "line 2: unknown key 'sim.bogus'"),
+    ("vectors", "line 2: not a space-separated hex dump"),
+])
+@pytest.mark.parametrize("first", ["# a\x0cb\n", "# a\u2028b\n", "# a\r\n"])
+def test_input_line_ends_at_newline_only(tmp_path, capsys, command, reason, first):
+    """Line numbers count line feeds, as the non-UTF-8 error does; a form
+    feed or U+2028 in a comment stays in the comment."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes((first + "sim.bogus = 1\n").encode())
+    assert main(reading(command, bad, tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+
+
 class TestUsage:
     def test_no_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
