@@ -8,8 +8,10 @@ alone (plus the radio range and duration, which are config, not state).
 
 Per-sample neighbor-table precision/recall compares each node's replayed
 table against the geometric adjacency of the last-reported positions.
-For static scenes that ground truth is exact; under mobility a position
-can be stale by up to one beacon interval.
+Every time and position is judged at the trace file's six decimals, as
+``round(v, 6)``, so a run's metrics equal the replay of its file. For
+static scenes that ground truth is exact at that precision; under
+mobility a position can be stale by up to one beacon interval.
 """
 
 from __future__ import annotations
@@ -103,9 +105,11 @@ def compute_metrics(trace: Trace, radio_range: float, duration: float) -> Metric
         next_sample += SAMPLE_PERIOD
 
     for rec in trace:
-        # A sample at s reflects every record with t <= s; emit it once
-        # the first strictly later record shows up (trace is sorted).
-        while next_sample <= duration and rec.t > next_sample + 1e-9:
+        # A sample at s reflects every record with t <= s at six decimals;
+        # emit it once the first later record shows up (trace is sorted).
+        # s has no more decimals, so only a t past s can round past it.
+        while (next_sample <= duration and rec.t > next_sample
+               and round(rec.t, 6) > next_sample):
             take_sample()
         last_pos[rec.node] = rec.pos
         if rec.ev == EV_BEACON_TX:
@@ -145,17 +149,17 @@ def compute_metrics(trace: Trace, radio_range: float, duration: float) -> Metric
 def _table_accuracy(tables: dict[int, set[int]],
                     last_pos: dict[int, tuple[float, float]],
                     radio_range: float) -> tuple[float, float]:
-    """Directed precision/recall of replayed tables vs geometric truth."""
-    truth: set[tuple[int, int]] = set()
-    for a, b in pairs_in_range(last_pos, radio_range):
-        truth.add((a, b))
-        truth.add((b, a))
-    held = {
-        (node, peer) for node, peers in tables.items() for peer in peers
-    }
-    true_positive = len(held & truth)
-    precision = true_positive / len(held) if held else 1.0
-    recall = true_positive / len(truth) if truth else 1.0
+    """Directed precision/recall of replayed tables vs geometric truth
+    between positions at six decimals: a pair written in range is in range,
+    though its exact positions may be up to 2 * sqrt(2) * 5e-7 m farther apart."""
+    pairs = pairs_in_range(
+        {node: (round(x, 6), round(y, 6)) for node, (x, y) in last_pos.items()},
+        radio_range)
+    true_positive = sum((b in tables.get(a, ())) + (a in tables.get(b, ()))
+                        for a, b in pairs)
+    held = sum(map(len, tables.values()))
+    precision = true_positive / held if held else 1.0
+    recall = true_positive / (2 * len(pairs)) if pairs else 1.0
     return precision, recall
 
 
@@ -174,7 +178,6 @@ def _pair_latencies(first_beacon_tx: dict[int, float],
                             if t is not None]
         if not start_candidates:
             continue
-        # Endpoints at the trace file's six decimals, so that a replay
-        # from the file measures the same latencies as the run itself.
+        # Endpoints at six decimals, as every time the replay reads.
         latencies.append(round(max(t_ab, t_ba), 6) - round(min(start_candidates), 6))
     return latencies

@@ -127,13 +127,7 @@ class Trace:
                     name = quoted.get(key)
                     if name is None:
                         name = quoted[key] = json.dumps(key)
-                    kind = type(value)
-                    if kind is int:
-                        fields.append(f"{name}: {value}")
-                    elif kind is float:
-                        fields.append(f"{name}: {value:.6f}")
-                    else:
-                        fields.append(f"{name}: {_fmt_value(value)}")
+                    fields.append(f"{name}: {_fmt_value(value)}")
                 extra_text = ", ".join(fields)
             peer = record.peer
             append(f'{{"t": {t_text}, "ev": {ev}, "node": {record.node}, '

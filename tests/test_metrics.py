@@ -1,5 +1,6 @@
 import pytest
 
+from beaconkx.config import parse_config_text
 from beaconkx.metrics import compute_metrics
 from beaconkx.protocol import DhMode
 from beaconkx.sim import Mobility, SimConfig, run
@@ -97,16 +98,29 @@ class TestSamples:
         assert sample.precision == 0.0
         assert sample.recall == 1.0  # no true adjacency remains
 
-    def test_records_at_sample_instant_are_included(self):
+    # 1.0000004 is written as 1.000000, so a replay of the file counts it
+    # in the sample at 1, and so must the run.
+    @pytest.mark.parametrize("t", [1.0, 1.0000004])
+    def test_records_at_sample_instant_are_included(self, t):
         trace = Trace([
             rec(0.5, EV_BEACON_TX, 1, pos=(0.0, 0.0), len=19, timer_at=0.5, version=1),
             rec(0.5, EV_BEACON_TX, 2, pos=(100.0, 0.0), len=19, timer_at=0.5, version=1),
-            rec(1.0, EV_BEACON_RX, 1, peer=2, pos=(0.0, 0.0), len=19),
-            rec(1.0, EV_BEACON_RX, 2, peer=1, pos=(100.0, 0.0), len=19),
+            rec(t, EV_BEACON_RX, 1, peer=2, pos=(0.0, 0.0), len=19),
+            rec(t, EV_BEACON_RX, 2, peer=1, pos=(100.0, 0.0), len=19),
         ])
         metrics = compute_metrics(trace, radio_range=250.0, duration=1.0)
         (sample,) = metrics.table_samples
         assert sample.recall == 1.0
+
+    def test_range_is_judged_at_written_positions(self):
+        # 250.0000004 m apart is written as 250.000000: in range.
+        trace = Trace([
+            rec(0.5, EV_BEACON_RX, 1, peer=2, pos=(0.0, 0.0), len=19),
+            rec(0.5, EV_BEACON_RX, 2, peer=1, pos=(250.0000004, 0.0), len=19),
+        ])
+        metrics = compute_metrics(trace, radio_range=250.0, duration=1.0)
+        (sample,) = metrics.table_samples
+        assert (sample.precision, sample.recall) == (1.0, 1.0)
 
 
 class TestSerialization:
@@ -120,14 +134,38 @@ class TestSerialization:
                       "expiries", "bytes_on_air", "table_samples"):
             assert f'"{field}"' in text
 
-    @pytest.mark.parametrize("seed", [1, 10])
-    def test_replay_from_file_equals_run(self, seed):
-        # The file keeps six decimals of every time; latencies must not
-        # depend on the digits it drops.
-        cfg = SimConfig(n_vehicles=10, area=(150.0, 150.0), speed_range=(5.0, 15.0),
-                        mobility=Mobility.RANDOM_WAYPOINT, loss_rate=0.2,
-                        duration=6.0, dh_bits=64, dh_mode=DhMode.PER_NODE_PARAMS,
-                        seed=seed)
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(SimConfig(
+            n_vehicles=10, area=(150.0, 150.0), speed_range=(5.0, 15.0),
+            mobility=Mobility.RANDOM_WAYPOINT, loss_rate=0.2, duration=6.0,
+            dh_bits=64, dh_mode=DhMode.PER_NODE_PARAMS, seed=seed), id=str(seed))
+        for seed in (1, 10)
+    ] + [
+        # The engine's positions are 250.0000004 m apart, out of range; the
+        # file's are 250.000000 apart, in range.
+        pytest.param(parse_config_text(
+            "sim.n_vehicles = 2\n"
+            "sim.placements = 100,100; 350.0000004,100\n"
+            "sim.radio_range = 250\n"
+            "sim.area_width = 1000\n"
+            "sim.area_height = 1000\n"
+            "sim.duration = 3\n"
+            "sim.dh_bits = 32\n"), id="range_boundary"),
+        # Node 1's first beacon is heard at t = 1.0000004, written 1.000000.
+        pytest.param(parse_config_text(
+            "sim.n_vehicles = 2\n"
+            "sim.placements = 100,100; 200,100\n"
+            "sim.radio_range = 250\n"
+            "sim.duration = 2\n"
+            "sim.dh_bits = 32\n"
+            "sim.prop_delay = 0\n"
+            "sim.seed = 1\n"
+            "sim.crypto_costs = on\n"
+            "sim.cost_param_gen = 0.668327583548755\n"), id="sample_boundary"),
+    ])
+    def test_replay_from_file_equals_run(self, cfg):
+        # The file keeps six decimals of every time and position; no
+        # metric may depend on the digits it drops.
         trace, metrics = run(cfg)
         replayed = compute_metrics(Trace.from_jsonl(trace.to_jsonl()),
                                    radio_range=cfg.radio_range,

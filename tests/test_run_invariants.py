@@ -2,12 +2,12 @@
 the trace's keys checked against the run's key pairs.
 
 Small random configs cover both DH modes, crypto costs, adaptive
-beaconing, both mobility models, loss, halts and probes. Each run's
-trace text must replay to the run's own metrics, and every record in it
-must follow from the model: a reception from a transmission in range, an
-ACK from a beacon heard, and in a shared group one key per pair. Every
-recorded key must be one that builtin ``pow`` gives for an exchange
-between the two nodes' key pairs.
+beaconing, both mobility models, loss, halts, probes and static pairs at
+the edge of the radio range. Each run's trace text must replay to the
+run's own metrics, and every record in it must follow from the model: a
+reception from a transmission in range, an ACK from a beacon heard, and
+in a shared group one key per pair. Every recorded key must be one that
+builtin ``pow`` gives for an exchange between the two nodes' key pairs.
 """
 
 import math
@@ -61,10 +61,21 @@ def sim_configs(draw):
     probes = draw(st.lists(st.builds(
         RouteProbe, at=st.floats(0.0, duration), src=st.integers(1, n),
         dest=st.builds(Position, st.floats(0.0, side), st.floats(0.0, side))), max_size=2))
+    radio_range = draw(st.floats(0.2, 1.0)) * side
+    placements = None
+    if speed_max == 0.0 and draw(st.booleans()):
+        # Node 2 at the edge of node 1's range, where the file's six
+        # decimals can put the pair on the other side of it.
+        points = draw(st.lists(st.tuples(st.floats(0.0, side), st.floats(0.0, side)),
+                               min_size=n, max_size=n))
+        delta = draw(st.sampled_from([-4e-7, 0.0, 4e-7]))
+        x, y = points[0]
+        points[1] = (x + radio_range + delta, y)
+        placements = tuple(points)
     return SimConfig(
         n_vehicles=n,
         area=(side, side),
-        radio_range=draw(st.floats(0.2, 1.0)) * side,
+        radio_range=radio_range,
         speed_range=(draw(st.floats(0.0, speed_max)), speed_max),
         mobility=draw(st.sampled_from(Mobility)),
         duration=duration,
@@ -76,7 +87,8 @@ def sim_configs(draw):
         dh_mode=draw(st.sampled_from(DhMode)),
         crypto_costs=draw(st.one_of(st.none(), st.builds(CryptoCosts, COST, COST, COST))),
         halts=tuple((node, draw(st.floats(0.0, duration))) for node in halted),
-        probes=tuple(probes))
+        probes=tuple(probes),
+        placements=placements)
 
 
 def by_pair(records, ev):
