@@ -383,8 +383,10 @@ class Simulation:
         self._costs = config.crypto_costs or CryptoCosts(0.0, 0.0, 0.0)
         self.nodes: dict[int, NodeState] = {}
         self.vehicles: dict[int, Vehicle] = {}
-        # Every vehicle, halted or not, bucketed by cell at its node's
-        # own_position; written at set-up and on mobility ticks.
+        # Each node's own_position as the one (x, y) tuple its trace
+        # records share, and every vehicle, halted or not, bucketed by cell
+        # there; both written at set-up and on mobility ticks.
+        self._xy: dict[int, tuple[float, float]] = {}
         self._grid = CellGrid(config.radio_range)
         self.probe_results: list[RouteResult] = []
         self._trace: list[TraceRecord] = []
@@ -417,6 +419,7 @@ class Simulation:
                 vehicle.vx = speed * math.cos(angle)
                 vehicle.vy = speed * math.sin(angle)
             self.vehicles[node_id] = vehicle
+            self._xy[node_id] = (x, y)
             rng = random.Random(f"{cfg.seed}/node/{node_id}")
             self.nodes[node_id] = make_node(
                 node_id=node_id,
@@ -452,16 +455,14 @@ class Simulation:
 
     def _emit(self, t: float, ev: str, node: int, peer: int | None,
               extra: dict | None = None) -> None:
-        pos = self.nodes[node].own_position
-        self._trace.append(TraceRecord(t, ev, node, peer, (pos.x, pos.y), extra or {}))
+        self._trace.append(TraceRecord(t, ev, node, peer, self._xy[node], extra or {}))
 
     def _halted(self, node_id: int, now: float) -> bool:
         halt = self._halt_at.get(node_id)
         return halt is not None and now >= halt
 
     def _rebuild_grid(self) -> None:
-        self._grid.rebuild((node_id, state.own_position.x, state.own_position.y)
-                           for node_id, state in self.nodes.items())
+        self._grid.rebuild((node_id, x, y) for node_id, (x, y) in self._xy.items())
 
     # -- event handlers --------------------------------------------------
 
@@ -539,6 +540,7 @@ class Simulation:
             mobility_update(vehicle, MOBILITY_TICK_INTERVAL, cfg.area,
                             cfg.mobility, cfg.speed_range, self._rng_move)
             self.nodes[node_id].own_position = vehicle.position
+            self._xy[node_id] = (vehicle.x, vehicle.y)
         self._rebuild_grid()
         self._push(now + MOBILITY_TICK_INTERVAL, EventKind.MOBILITY_TICK, 0, None)
 

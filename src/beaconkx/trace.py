@@ -51,7 +51,9 @@ def _fmt_value(value: object) -> str:
 @dataclass(slots=True)
 class TraceRecord:
     """One trace event. Read-only by convention: nothing in the program
-    changes a record once it is built.
+    changes a record once it is built. Records may share their immutable
+    values (a time, an event name, a node id, a ``pos`` tuple), never an
+    ``extra``.
 
     Not frozen: a frozen dataclass sets each field through
     ``object.__setattr__``, which made building one about three times as
@@ -155,67 +157,87 @@ class Trace:
         ``TraceFormatError`` naming its line number: the replay needs
         well-typed records in time order.
 
-        A line in the exact form ``to_jsonl`` writes, with a flat ``extra``,
-        is read without the JSON decoder: its fields are converted from the
-        matched text, and each distinct ``extra`` text is decoded once. Any
-        other line, and one whose fields fail a check there, goes through
-        ``json.loads`` and the checks of ``_parse_line``. Both paths accept
-        the same lines and give equal records, each with its own ``extra``
-        dict; only the second writes errors, so every rejection is the one
-        the JSON decoder's path gives.
+        The text is not split into lines. At each line's start the reader
+        first matches the exact form ``to_jsonl`` writes, with a flat
+        ``extra``, in place; that pattern ends at a line feed or the end of
+        the text and holds none inside, so a match is one whole line. Such
+        a line is read without the JSON decoder: its fields are converted
+        from the matched text, each distinct time, position, node id,
+        event name and ``extra`` text once per call, so records that
+        repeat a value share one immutable object. Any other line is cut
+        out up to its line feed and goes through ``json.loads`` and the
+        checks of ``_parse_line``, as does one whose fields fail a check
+        on the first path. Both paths accept the same lines and give equal
+        records, each with its own ``extra`` dict; only the second writes
+        errors, so every rejection is the one the JSON decoder's path
+        gives. Line numbers are counted only for an error.
         """
-        canonical = _CANONICAL_LINE.fullmatch
-        loads = json.loads
-        isfinite = math.isfinite
-        extras: dict[str, dict] = {}
+        canonical = _CANONICAL_LINE.match
+        names = _Converted(str)  # the first copy of each event name
+        ids = _Converted(int)  # node and peer
+        ids["null"] = None
+        positions = _Converted(_position)
+        extras = _Converted(json.loads)
         records: list[TraceRecord] = []
         append = records.append
         last_t = -math.inf
-        for lineno, line in enumerate(text.split("\n"), start=1):
+        t_text = None  # the time text last converted; the next line often repeats it
+        start, size = 0, len(text)
+        while start <= size:
             record = None
-            match = canonical(line)
+            match = canonical(text, start)
             if match is not None:
-                t, ev, node, peer, x, y, extra_text = match.groups()
+                time, ev, node, peer, pos, extra = match.groups()
                 try:
-                    t, x, y, node = float(t), float(x), float(y), int(node)
-                    peer = None if peer == "null" else int(peer)
-                    extra = extras.get(extra_text)
-                    if extra is None:
-                        extra = extras[extra_text] = loads(extra_text)
-                    if (isfinite(t) and isfinite(x) and isfinite(y)
-                            and (peer is not None or ev not in _PEERED)
+                    if time != t_text:
+                        t, t_text = _finite(time), time
+                    ev, node, peer, pos, extra = (
+                        names[ev], ids[node], ids[peer], positions[pos], extras[extra])
+                    if ((peer is not None or ev not in _PEERED)
                             and (ev not in _TRANSMISSIONS
                                  or type(length := extra.get("len")) is int and length >= 0)):
-                        record = TraceRecord(t, ev, node, peer, (x, y), dict(extra))
-                except ValueError:  # an integer past int's digit limit, or bad extra JSON
+                        record = TraceRecord(t, ev, node, peer, pos, dict(extra))
+                except ValueError:  # a number past int's digits or float's range, or bad JSON
                     pass
             if record is None:
+                end = text.find("\n", start)
+                if end < 0:
+                    end = size
+                line = text[start:end]
                 if not line.strip():
+                    start = end + 1
                     continue
                 try:
                     record = _parse_line(line)
                 except (ValueError, KeyError, TypeError, OverflowError,
                         RecursionError) as exc:  # RecursionError: deep nesting
+                    lineno = text.count("\n", 0, start) + 1
                     raise TraceFormatError(f"line {lineno}: {_reason(exc)}") from exc
-            t = record.t
-            if not t >= last_t:
-                raise TraceFormatError(f"line {lineno}: time {t} out of order after {last_t}")
-            last_t = t
+            else:
+                end = match.end()
+            if not record.t >= last_t:
+                lineno = text.count("\n", 0, start) + 1
+                raise TraceFormatError(
+                    f"line {lineno}: time {record.t} out of order after {last_t}")
+            last_t = record.t
             append(record)
+            start = end + 1
         return cls(records)
 
 
 # The line ``to_jsonl`` writes, and the ``\r`` a ``\r\n`` file leaves at its
-# end. Numbers follow JSON's grammar (no leading zero, ``[0-9]`` rather
-# than any Unicode digit ``int`` would take), and ``extra`` holds no list
-# or object: a shallow copy of its decoded dict is a full one, and
-# decoding it cannot recurse.
+# end, matched where a line starts in the whole text: it ends at a line
+# feed or the end of the text, and ``extra`` holds no line feed, so a match
+# never runs into the next line. Numbers follow JSON's grammar (no leading
+# zero, ``[0-9]`` rather than any Unicode digit ``int`` would take), and
+# ``extra`` holds no list or object: a shallow copy of its decoded dict is
+# a full one, and decoding it cannot recurse.
 _INT = r"-?(?:0|[1-9][0-9]*)"
 _FLOAT = _INT + r"\.[0-9]+"
 _CANONICAL_LINE = re.compile(
     r'\{"t": (' + _FLOAT + r'), "ev": "([a-z_]+)", "node": (' + _INT + r'), '
-    r'"peer": (null|' + _INT + r'), "pos": \[(' + _FLOAT + r'), (' + _FLOAT + r')\], '
-    r'"extra": (\{[^][{}]*\})\}\r?')
+    r'"peer": (null|' + _INT + r'), "pos": \[(' + _FLOAT + r', ' + _FLOAT + r')\], '
+    r'"extra": (\{[^][{}\n]*\})\}\r?(?=\n|\Z)')
 
 
 def _parse_line(line: str) -> TraceRecord:
@@ -240,6 +262,30 @@ def _parse_line(line: str) -> TraceRecord:
     if ev in _TRANSMISSIONS and not (type(extra["len"]) is int and extra["len"] >= 0):
         raise ValueError(f"len {extra['len']!r} is not a non-negative integer")
     return TraceRecord(t, ev, node, peer, (x, y), extra)
+
+
+class _Converted(dict):
+    """Each distinct text converted once: ``self[text]`` calls ``convert``
+    only for a text it has not seen."""
+
+    def __init__(self, convert) -> None:
+        self.convert = convert
+
+    def __missing__(self, text: str):
+        value = self[text] = self.convert(text)
+        return value
+
+
+def _position(text: str) -> tuple[float, float]:
+    x, _, y = text.partition(", ")
+    return _finite(x), _finite(y)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not finite")
+    return value
 
 
 def _number(value: object) -> float:

@@ -687,6 +687,38 @@ class TestPacketHandOver:
             assert record.extra["len"] == len(raw)
 
 
+class TestRecordPositions:
+    """A node's records share the one ``pos`` tuple the engine keeps for it
+    until it next moves."""
+
+    def test_a_static_nodes_records_share_one_tuple(self):
+        trace, _ = run(line_config(100.0, 3, duration=4.0))
+        shared = {}
+        for record in trace:
+            assert shared.setdefault(record.node, record.pos) is record.pos
+        assert len(shared) == 3
+
+    def test_a_moving_nodes_records_share_one_tuple_between_ticks(self, monkeypatch):
+        bounds = []  # the number of records written before each mobility tick
+        tick = Simulation._handle_mobility_tick
+
+        def counting_tick(sim, node, now, payload):
+            bounds.append(len(sim._trace))
+            tick(sim, node, now, payload)
+
+        monkeypatch.setattr(Simulation, "_handle_mobility_tick", counting_tick)
+        records = run(SimConfig(n_vehicles=5, area=(300.0, 300.0), duration=3.0,
+                                speed_range=(5.0, 15.0), **FAST_DH))[0].records
+        tuples = set()
+        for lo, hi in zip([0, *bounds], [*bounds, len(records)]):
+            shared = {}
+            for record in records[lo:hi]:
+                assert shared.setdefault(record.node, record.pos) is record.pos
+            tuples.update(map(id, shared.values()))
+        # The nodes moved, and most records share their tuple with another.
+        assert len(bounds) > 20 and 5 < len(tuples) < len(records) / 2
+
+
 class TestMobilityExpiry:
     def test_node_leaving_range_is_expired(self):
         cfg = SimConfig(n_vehicles=2,

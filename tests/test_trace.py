@@ -3,11 +3,13 @@ reader against the per-line JSON reference reader, and the reader's round
 trip on the benchmark's scenes."""
 
 import functools
+import gc
 import importlib.util
 import json
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,24 @@ def test_round_trip_on_benchmark_scenes(workload):
     assert Trace.from_jsonl(text).to_jsonl() == text
     # Every line the engine writes is read without the JSON decoder.
     assert all(_CANONICAL_LINE.fullmatch(line) for line in text.splitlines())
+
+
+def test_replayed_records_share_their_immutable_values():
+    """Records at one instant share one time, a node's records between moves
+    one ``pos`` tuple, and records of one kind one event name: on average a
+    record keeps no more than its slots, its own ``extra`` dict, its list
+    slot and one float of its own."""
+    text = run(parse_config_text(_scenes()["dense"](1).text))[0].to_jsonl()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        records = Trace.from_jsonl(text).records
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    bound = sys.getsizeof(records[0]) + sys.getsizeof({"len": 0}) + 8 + 24
+    assert retained / len(records) <= bound
 
 
 def reference_from_jsonl(text: str) -> list[TraceRecord]:
@@ -297,6 +317,7 @@ REWRITES = {
     "duplicate len after": _last_in_extra('"len": 3'),
     "nested extra": _first_in_extra('"a": [1, {"b": 2}]'),
     "brace in extra string": _first_in_extra('"a": "}"'),
+    "line feed in extra": _first_in_extra('"a":\n1'),
     "upper-case ev": _sub(r'"ev": "(\w)', lambda m: f'"ev": "{m[1].upper()}'),
     "escaped ev": _sub(r'"ev": "(\w+)_', r'"ev": "\1\\u005f'),
     "5000-digit node": _sub(r'"node": \d+', '"node": 1' + "0" * 4999),
@@ -349,6 +370,11 @@ def test_a_lone_carriage_return_is_whitespace_inside_a_line():
     line = (LINE % "").replace('"peer": 2, ', '"peer": 2,\r')
     [record] = Trace.from_jsonl(line + "\n").records
     assert (record.node, record.peer, record.pos) == (1, 2, (3.0, 4.0))
+
+
+def test_a_last_line_without_a_line_feed_reads_the_same():
+    text = "\n".join(saved_lines())
+    assert repr(Trace.from_jsonl(text).records) == repr(Trace.from_jsonl(text + "\n").records)
 
 
 def test_a_crlf_file_reads_like_its_lf_text():
