@@ -9,6 +9,7 @@ unreadable input file included.
 from __future__ import annotations
 
 import argparse
+import codecs
 import random
 import statistics
 import sys
@@ -160,15 +161,16 @@ def _print_bench(result: BenchResult, out) -> None:
 
 
 def _read_text(path: str, what: str) -> str | None:
-    """The UTF-8 text of the input file at ``path``, or None after printing
-    why it cannot be read: the file's name, and the line that is not
-    UTF-8."""
+    """The UTF-8 text of the input file at ``path`` less a leading byte
+    order mark, or None after printing why it cannot be read: the file's
+    name, and the line that is not UTF-8."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         print(f"error: cannot read {what} {path}: {exc}", file=sys.stderr)
         return None
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

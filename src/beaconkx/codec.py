@@ -33,6 +33,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 HEADER_LEN = 18
 MAX_PUBLIC_VALUE_LEN = 0xFFFF - HEADER_LEN  # packet_len must fit 16 bits
@@ -64,9 +65,9 @@ class DecodeError(CodecError):
     """Buffer is not the encoding of any valid packet."""
 
 
-@dataclass(frozen=True)
-class Position:
-    """Planar coordinates in meters, carried as IEEE-754 singles."""
+class Position(NamedTuple):
+    """Planar coordinates in meters, carried as IEEE-754 singles: an
+    immutable ``(x, y)`` pair, equal to the plain tuple of its coordinates."""
 
     x: float
     y: float

@@ -26,7 +26,7 @@ _SINGLE_CELL = (0.0, 0.0)
 def cell_side(radio_range: float) -> float:
     """Side of a grid cell for ``radio_range``.
 
-    A pair is in range when ``hypot(ax - bx, ay - by) <= radio_range``.
+    A pair is in range when ``math.dist(a, b) <= radio_range``.
     That bounds each rounded coordinate difference by the range, so the
     exact difference is at most ``radio_range * (1 + 2**-53)``, or the
     range itself where the difference is subnormal and thus exact. A
@@ -48,19 +48,19 @@ class CellGrid:
         self._cells: dict[tuple[float, float], list[int]] = {}
         self._cell_of: dict[int, tuple[float, float]] = {}
 
-    def rebuild(self, points: Iterable[tuple[int, float, float]]) -> None:
-        """Re-bucket every ``(node_id, x, y)``; O(N)."""
+    def rebuild(self, points: Iterable[tuple[int, tuple[float, float]]]) -> None:
+        """Re-bucket every ``(node_id, (x, y))``; O(N)."""
         points = list(points)
         self._cells = cells = {}
         self._cell_of = cell_of = {}
-        for (node_id, _, _), key in zip(points, self._keys(points)):
+        for (node_id, _), key in zip(points, self._keys(points)):
             cell_of[node_id] = key
             cells.setdefault(key, []).append(node_id)
 
-    def _keys(self, points: list[tuple[int, float, float]]) -> list[tuple[float, float]]:
+    def _keys(self, points: list[tuple[int, tuple[float, float]]]) -> list[tuple[float, float]]:
         side = self._side
         if side > 0:  # a zero or NaN range has no cells to speak of
-            keys = [(x // side, y // side) for _, x, y in points]
+            keys = [(x // side, y // side) for _, (x, y) in points]
             if all(abs(kx) <= _MAX_KEY and abs(ky) <= _MAX_KEY for kx, ky in keys):
                 return keys
         return [_SINGLE_CELL] * len(points)
@@ -82,12 +82,10 @@ def pairs_in_range(points: Mapping[int, tuple[float, float]],
                    radio_range: float) -> list[tuple[int, int]]:
     """Every pair ``(a, b)``, ``a < b``, no farther apart than the range."""
     grid = CellGrid(radio_range)
-    grid.rebuild((node_id, x, y) for node_id, (x, y) in points.items())
+    grid.rebuild(points.items())
     pairs = []
-    for a, (ax, ay) in points.items():
+    for a, pos in points.items():
         for b in grid.block(a):
-            if b > a:
-                bx, by = points[b]
-                if math.hypot(ax - bx, ay - by) <= radio_range:
-                    pairs.append((a, b))
+            if b > a and math.dist(pos, points[b]) <= radio_range:
+                pairs.append((a, b))
     return pairs

@@ -87,10 +87,6 @@ class DhMode(Enum):
     PER_NODE_PARAMS = "per_node"
 
 
-def distance(a: Position, b: Position) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 @dataclass
 class NeighborEntry:
     position: Position
@@ -335,12 +331,12 @@ class NodeState:
         candidate set shrinks to neighbors holding a key.
         """
         best_id: int | None = None
-        best_dist = distance(self.own_position, dest)
+        best_dist = math.dist(self.own_position, dest)
         for node_id in sorted(self.neighbors):
             entry = self.neighbors[node_id]
             if keyed_only and entry.key is None:
                 continue
-            d = distance(entry.position, dest)
+            d = math.dist(entry.position, dest)
             if d < best_dist:
                 best_id = node_id
                 best_dist = d

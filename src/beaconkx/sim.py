@@ -8,11 +8,13 @@ loss probability. Propagation adds a fixed delay so that send and
 receive instants are distinct and ordering is well defined.
 
 The radio's view of the fleet is kept up to date rather than rebuilt per
-send: each node's ``own_position`` is its vehicle's current position, and
-``Simulation`` buckets the vehicles into a cell grid one radio range wide
+send: each node's ``own_position`` is its vehicle's position as one
+``codec.Position``, which its trace records share, and ``Simulation``
+buckets the nodes by it into a cell grid one radio range wide
 (``grid.CellGrid``), both written at set-up and on each mobility tick
 only. A beacon's candidate receivers are the live nodes in the 3 x 3
-block of cells around its sender; an ACK's is its live addressee.
+block of cells around its sender; an ACK's is its live addressee. The
+range test, ``math.dist(a, b) <= radio_range``, is the metrics' too.
 Liveness is checked per candidate at the send instant. A node that halts
 while computing a secret records no key and sends no ACK. The engine
 neither encodes nor decodes: every delivery carries the sender's packet,
@@ -55,7 +57,7 @@ from .dh import MAX_MODULUS_BITS, MIN_MODULUS_BITS, generate_dh_params
 from .grid import CellGrid
 from .metrics import SAMPLE_PERIOD, Metrics, compute_metrics
 from .protocol import (ConfigError, DhMode, NodeConfig, NodeState, SecretMemo,
-                       _check_number, distance, make_node)
+                       _check_number, make_node)
 from .trace import (
     EV_ACK_RX,
     EV_ACK_TX,
@@ -299,7 +301,7 @@ def deliver_in_range(candidates: Mapping[int, Position], origin: Position,
     """
     return [(node_id, rng.random() >= loss_rate)
             for node_id, position in sorted(candidates.items())
-            if distance(origin, position) <= radio_range]
+            if math.dist(origin, position) <= radio_range]
 
 
 def mobility_update(vehicle: Vehicle, dt: float, area: tuple[float, float],
@@ -362,8 +364,8 @@ def route_probe(nodes: Mapping[int, NodeState], src: int, dest: Position,
     for _ in range(max_hops):
         nxt = nodes[current].greedy_next_hop(dest)
         if nxt is None:
-            d_here = distance(nodes[current].own_position, dest)
-            d_best = min(distance(n.own_position, dest) for n in nodes.values())
+            d_here = math.dist(nodes[current].own_position, dest)
+            d_best = min(math.dist(n.own_position, dest) for n in nodes.values())
             outcome = RouteOutcome.REACHED if d_here <= d_best else RouteOutcome.LOCAL_MAX
             return RouteResult(outcome=outcome, hops=tuple(hops))
         hops.append(nxt)
@@ -383,10 +385,8 @@ class Simulation:
         self._costs = config.crypto_costs or CryptoCosts(0.0, 0.0, 0.0)
         self.nodes: dict[int, NodeState] = {}
         self.vehicles: dict[int, Vehicle] = {}
-        # Each node's own_position as the one (x, y) tuple its trace
-        # records share, and every vehicle, halted or not, bucketed by cell
-        # there; both written at set-up and on mobility ticks.
-        self._xy: dict[int, tuple[float, float]] = {}
+        # Every vehicle, halted or not, bucketed by cell at its node's
+        # own_position; rebuilt at set-up and on mobility ticks.
         self._grid = CellGrid(config.radio_range)
         self.probe_results: list[RouteResult] = []
         self._trace: list[TraceRecord] = []
@@ -419,7 +419,6 @@ class Simulation:
                 vehicle.vx = speed * math.cos(angle)
                 vehicle.vy = speed * math.sin(angle)
             self.vehicles[node_id] = vehicle
-            self._xy[node_id] = (x, y)
             rng = random.Random(f"{cfg.seed}/node/{node_id}")
             self.nodes[node_id] = make_node(
                 node_id=node_id,
@@ -455,14 +454,15 @@ class Simulation:
 
     def _emit(self, t: float, ev: str, node: int, peer: int | None,
               extra: dict | None = None) -> None:
-        self._trace.append(TraceRecord(t, ev, node, peer, self._xy[node], extra or {}))
+        self._trace.append(TraceRecord(t, ev, node, peer, self.nodes[node].own_position,
+                                       extra or {}))
 
     def _halted(self, node_id: int, now: float) -> bool:
         halt = self._halt_at.get(node_id)
         return halt is not None and now >= halt
 
     def _rebuild_grid(self) -> None:
-        self._grid.rebuild((node_id, x, y) for node_id, (x, y) in self._xy.items())
+        self._grid.rebuild((node_id, state.own_position) for node_id, state in self.nodes.items())
 
     # -- event handlers --------------------------------------------------
 
@@ -540,7 +540,6 @@ class Simulation:
             mobility_update(vehicle, MOBILITY_TICK_INTERVAL, cfg.area,
                             cfg.mobility, cfg.speed_range, self._rng_move)
             self.nodes[node_id].own_position = vehicle.position
-            self._xy[node_id] = (vehicle.x, vehicle.y)
         self._rebuild_grid()
         self._push(now + MOBILITY_TICK_INTERVAL, EventKind.MOBILITY_TICK, 0, None)
 

@@ -53,7 +53,9 @@ class TraceRecord:
     """One trace event. Read-only by convention: nothing in the program
     changes a record once it is built. Records may share their immutable
     values (a time, an event name, a node id, a ``pos`` tuple), never an
-    ``extra``.
+    ``extra``. A run's records hold their node's ``codec.Position``, one
+    object per node between mobility ticks; a read trace's hold plain
+    tuples, one per distinct position text. The two compare equal.
 
     Not frozen: a frozen dataclass sets each field through
     ``object.__setattr__``, which made building one about three times as
@@ -85,15 +87,14 @@ class Trace:
     def to_jsonl(self) -> str:
         """One line per record, each event name and extra key quoted once.
 
-        Records come in time order and a node keeps its position between
-        mobility ticks, so each instant's time is formatted once, and each
-        node's position once per move. A zero time or coordinate is never
+        Records come in time order and a node keeps its position object
+        between mobility ticks, so each instant's time is formatted once,
+        and each node's position once per object. A zero time is never
         taken from the last one: ``0.0 == -0.0``, but they print
         differently.
         """
         quoted: dict[str, str] = {}
-        # node -> (pos, its text); kept only while neither coordinate is zero
-        positions: dict[int, tuple[tuple[float, float], str]] = {}
+        positions: dict[int, tuple[tuple[float, float], str]] = {}  # node -> (pos, its text)
         last_t = math.nan
         lines = []
         append = lines.append
@@ -104,13 +105,11 @@ class Trace:
                 last_t = t if t else math.nan
             pos = record.pos
             cached = positions.get(record.node)
-            if cached is not None and cached[0] == pos:
+            if cached is not None and cached[0] is pos:
                 pos_text = cached[1]
             else:
-                x, y = pos[0], pos[1]
-                pos_text = f"{x:.6f}, {y:.6f}"
-                if x and y:
-                    positions[record.node] = (pos, pos_text)
+                pos_text = f"{pos[0]:.6f}, {pos[1]:.6f}"
+                positions[record.node] = (pos, pos_text)
             ev = quoted.get(record.ev)
             if ev is None:
                 ev = quoted[record.ev] = json.dumps(record.ev)

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -398,6 +399,25 @@ def test_non_utf8_input_file_exits_2_naming_it_and_the_line(tmp_path, capsys, co
     assert main(reading(command, bad, tmp_path)) == 2
     err = capsys.readouterr().err
     assert "latin1.txt" in err and "line 2" in err
+
+
+def test_utf8_bom_before_an_input_file_is_skipped(tmp_path, capsys):
+    """A config or trace saved with a byte order mark reads as without it."""
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(TWO_NODE_CFG.lstrip())
+    bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    traces = []
+    for cfg in (plain, bom):
+        trace = tmp_path / f"{cfg.stem}.jsonl"
+        assert main(["run", "--config", str(cfg), "--trace", str(trace),
+                     "--metrics", str(tmp_path / "m.json")]) == 0
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]
+    bom_trace = tmp_path / "bom-trace.jsonl"
+    bom_trace.write_bytes(codecs.BOM_UTF8 + traces[0])
+    capsys.readouterr()
+    assert main(["metrics", "--config", str(bom), "--trace", str(bom_trace)]) == 0
+    assert capsys.readouterr().out == (tmp_path / "m.json").read_text()
 
 
 @pytest.mark.parametrize("command, reason", [

@@ -30,7 +30,6 @@ from beaconkx.protocol import (
     NodeConfig,
     NodeState,
     SecretMemo,
-    distance,
     make_node,
 )
 
@@ -535,8 +534,3 @@ class TestGreedyNextHop:
             for peer, (x, y) in table.items())
         expected = ranked[0][1] if ranked and ranked[0][0] < own else None
         assert node.greedy_next_hop(dest) == expected
-
-
-class TestDistance:
-    def test_euclidean(self):
-        assert distance(Position(0.0, 0.0), Position(3.0, 4.0)) == 5.0

@@ -688,14 +688,16 @@ class TestPacketHandOver:
 
 
 class TestRecordPositions:
-    """A node's records share the one ``pos`` tuple the engine keeps for it
-    until it next moves."""
+    """A node's records hold its ``own_position``, the one ``Position`` the
+    engine keeps for it until it next moves."""
 
     def test_a_static_nodes_records_share_one_tuple(self):
-        trace, _ = run(line_config(100.0, 3, duration=4.0))
+        sim = Simulation(line_config(100.0, 3, duration=4.0))
+        trace, _ = sim.run()
         shared = {}
         for record in trace:
             assert shared.setdefault(record.node, record.pos) is record.pos
+            assert record.pos is sim.nodes[record.node].own_position
         assert len(shared) == 3
 
     def test_a_moving_nodes_records_share_one_tuple_between_ticks(self, monkeypatch):

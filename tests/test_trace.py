@@ -83,15 +83,18 @@ def test_writer_equals_reference(records):
 # Few values, so records repeat the writer's last time, a node's last
 # position and an ``extra`` item on purpose: ``-0.0`` equals ``0.0`` and
 # ``True`` and ``1.0`` equal ``1``, each hashing alike, yet each prints
-# differently.
+# differently. Positions are fresh tuples or shared objects, as a run's
+# and a read file's records share them, so the writer's per-node cache
+# sees the same object again as well as an equal one.
 REPEATED = st.sampled_from([0.0, -0.0, 1.5, math.nan, math.inf, 2.0**60])
+SHARED_POSITIONS = [(0.0, 5.0), (-0.0, 5.0), (1.5, -0.0)]
 REPEATING_RECORDS = st.builds(
     TraceRecord,
     t=REPEATED,
     ev=st.just("beacon_rx"),
     node=st.sampled_from([1, 2]),
     peer=st.just(2),
-    pos=st.tuples(REPEATED, REPEATED),
+    pos=st.tuples(REPEATED, REPEATED) | st.sampled_from(SHARED_POSITIONS),
     extra=st.sampled_from([1, True, 1.0]).map(lambda v: {"len": v}),
 )
 
