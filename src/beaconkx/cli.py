@@ -26,7 +26,7 @@ from .codec import (
     encode_param_triple,
     int_to_magnitude,
 )
-from .config import parse_config_text
+from .config import content_lines, parse_config_text
 from .dh import (
     MAX_MODULUS_BITS,
     MIN_MODULUS_BITS,
@@ -250,14 +250,12 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def check_vector_lines(lines) -> tuple[int, str] | None:
-    """Validate hex-dump lines; returns (lineno, reason) on first failure."""
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+def check_vector_lines(text: str) -> tuple[int, str] | None:
+    """Validate the hex-dump lines of ``text``; returns (lineno, reason) on
+    the first failure."""
+    for lineno, content in content_lines(text):
         try:
-            raw = bytes(int(token, 16) for token in stripped.split())
+            raw = bytes(int(token, 16) for token in content.split())
         except ValueError:
             return lineno, "not a space-separated hex dump"
         try:
@@ -277,7 +275,7 @@ def _cmd_vectors(args) -> int:
     text = _read_text(args.check, "vector file")
     if text is None:
         return EXIT_USAGE
-    failure = check_vector_lines(text.split("\n"))
+    failure = check_vector_lines(text)
     if failure is not None:
         lineno, reason = failure
         print(f"error: {args.check}: line {lineno}: {reason}", file=sys.stderr)

@@ -379,7 +379,7 @@ class TestVectorsCommand:
 
     def test_golden_lines_are_self_consistent(self):
         from beaconkx.cli import check_vector_lines
-        assert check_vector_lines(golden_vector_lines()) is None
+        assert check_vector_lines("\n".join(golden_vector_lines())) is None
 
 
 def reading(command: str, path: Path, tmp_path: Path) -> list[str]:
@@ -418,6 +418,16 @@ def test_utf8_bom_before_an_input_file_is_skipped(tmp_path, capsys):
     capsys.readouterr()
     assert main(["metrics", "--config", str(bom), "--trace", str(bom_trace)]) == 0
     assert capsys.readouterr().out == (tmp_path / "m.json").read_text()
+
+
+def test_an_invisible_character_in_a_key_is_escaped(tmp_path, capsys):
+    """A zero-width space in a key shows as its escape, so the error does
+    not name a key that looks valid."""
+    cfg = tmp_path / "zwsp.cfg"
+    cfg.write_text("sim.n_vehicles\u200b = 2\n", encoding="utf-8")
+    assert main(reading("run", cfg, tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 1: unknown key 'sim.n_vehicles\\u200b'\n")
 
 
 @pytest.mark.parametrize("command, reason", [

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from beaconkx.cli import main
 from beaconkx.codec import Position
 from beaconkx.config import KNOWN_KEYS, parse_config_text
 from beaconkx.protocol import DhMode
-from beaconkx.sim import ConfigError, Mobility
+from beaconkx.sim import ConfigError, CryptoCosts, Mobility, RouteProbe
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -83,6 +84,11 @@ class TestParsing:
         assert cfg.n_vehicles == 30
         assert cfg.halts == ((7, 4.2),)
 
+    def test_readme_config_section_names_every_key(self):
+        readme = README.read_text(encoding="utf-8")
+        section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+        assert [key for key in sorted(KNOWN_KEYS) if key not in section] == []
+
     def test_crypto_costs_with_overrides(self):
         cfg = parse_config_text(
             "sim.n_vehicles = 2\nsim.crypto_costs = on\n"
@@ -129,6 +135,79 @@ class TestRejection:
     def test_semantic_validation_applied(self):
         with pytest.raises(ConfigError):
             parse_config_text("sim.n_vehicles = 2\nnode.beacon_interval = 0")
+
+    @pytest.mark.parametrize("text, message", [
+        ("sim.n_vehicles = lots\nsim.bogus = 1",
+         "line 1: key 'sim.n_vehicles': expected int, got 'lots'"),
+        ("sim.n_vehicles = 2\nsim.halts = 1:x",
+         "line 2: key 'sim.halts': expected float, got 'x'"),
+    ])
+    def test_the_first_faulty_line_is_named(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value) == message
+
+
+# Each key, a valid value other than its default, the field it must set
+# (a SimConfig field, then a NodeConfig or CryptoCosts field or a pair
+# half) and what that field must then hold. Written out here rather than
+# read from the parser's table, so that a row of the table that points
+# at the wrong field fails.
+REACH = {
+    "sim.n_vehicles": ("3", ("n_vehicles",), 3),
+    "sim.area_width": ("500", ("area", 0), 500.0),
+    "sim.area_height": ("600", ("area", 1), 600.0),
+    "sim.radio_range": ("300", ("radio_range",), 300.0),
+    "sim.speed_min": ("1", ("speed_range", 0), 1.0),
+    "sim.speed_max": ("5", ("speed_range", 1), 5.0),
+    "sim.mobility": ("random_waypoint", ("mobility",), Mobility.RANDOM_WAYPOINT),
+    "sim.duration": ("20", ("duration",), 20.0),
+    "sim.loss_rate": ("0.1", ("loss_rate",), 0.1),
+    "sim.prop_delay": ("0.002", ("prop_delay",), 0.002),
+    "sim.seed": ("7", ("seed",), 7),
+    "sim.dh_bits": ("64", ("dh_bits",), 64),
+    "sim.dh_mode": ("per_node", ("dh_mode",), DhMode.PER_NODE_PARAMS),
+    "sim.crypto_costs": ("on", ("crypto_costs",), CryptoCosts()),
+    "sim.cost_param_gen": ("2.5", ("crypto_costs", "param_gen"), 2.5),
+    "sim.cost_sender_secret": ("0.5", ("crypto_costs", "sender_secret"), 0.5),
+    "sim.cost_receiver_secret": ("0.25", ("crypto_costs", "receiver_secret"), 0.25),
+    "sim.placements": ("100,100; 200,100", ("placements",), ((100.0, 100.0), (200.0, 100.0))),
+    "sim.halts": ("2:8.0", ("halts",), ((2, 8.0),)),
+    "sim.probes": ("5.0:1:200:100", ("probes",),
+                   (RouteProbe(5.0, 1, Position(200.0, 100.0)),)),
+    "node.beacon_interval": ("2.0", ("node_config", "beacon_interval"), 2.0),
+    "node.expiry_multiplier": ("3.0", ("node_config", "expiry_multiplier"), 3.0),
+    "node.adaptive": ("on", ("node_config", "adaptive"), True),
+    "node.target_degree": ("4", ("node_config", "target_degree"), 4),
+    "node.adapt_gain": ("0.25", ("node_config", "adapt_gain"), 0.25),
+    "node.interval_min": ("0.2", ("node_config", "interval_min"), 0.2),
+    "node.interval_max": ("20", ("node_config", "interval_max"), 20.0),
+}
+# What a key's value above needs besides "sim.n_vehicles = 2".
+CONTEXT = {
+    "sim.speed_min": {"sim.speed_max": "5"},
+    **{key: {"sim.crypto_costs": "on"} for key in REACH if key.startswith("sim.cost_")},
+}
+
+
+def with_field(obj, path, value):
+    """``obj`` with the field or tuple half at ``path`` set to ``value``."""
+    head, *rest = path
+    if rest:
+        value = with_field(getattr(obj, head), rest, value)
+    if isinstance(head, int):
+        return obj[:head] + (value,) + obj[head + 1:]
+    return replace(obj, **{head: value})
+
+
+@pytest.mark.parametrize("key", sorted(KNOWN_KEYS | REACH.keys()))
+def test_each_key_sets_its_own_field(key):
+    raw, path, value = REACH[key]
+    lines = {"sim.n_vehicles": "2", **CONTEXT.get(key, {})}
+    base = parse_config_text("\n".join(f"{k} = {v}" for k, v in lines.items()))
+    lines[key] = raw
+    cfg = parse_config_text("\n".join(f"{k} = {v}" for k, v in lines.items()))
+    assert cfg == with_field(base, path, value) != base
 
 
 # ----------------------------------------------------------------------
