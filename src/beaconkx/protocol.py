@@ -38,7 +38,8 @@ X^y`` when ``X = w^x`` and ``Y = w^y``, so the end that computes it
 first serves the other and every repeat. Knowing ``y``, the memo
 computes that value from the group's table, as ``w^(x*y mod (p-1))``.
 A public value the memo did not draw is computed, and checked, on
-every arrival.
+every arrival. The memo also reads each distinct payload once; one that
+fails to read is read, and rejected, on every arrival.
 """
 
 from __future__ import annotations
@@ -105,12 +106,17 @@ class SecretMemo:
     the memo drew ``peer_public``, the key is the exchange's, kept under
     ``(p, w)`` and both exponents and computed once from the group's
     table; any other value is computed, and checked, on every arrival.
+    ``read`` returns a payload's ``read_payload`` fields, kept under the
+    version, packet type and bytes it was read from; a payload that fails
+    to read is not kept, so it is read, and rejected with the same
+    message, on every arrival.
     """
 
     def __init__(self) -> None:
         self._groups: dict[tuple[int, int], DhParams] = {}
         self._private: dict[tuple[int, int, int], int] = {}
         self._keys: dict[tuple[int, int, int, int], bytes] = {}
+        self._fields: dict[tuple[int, int, bytes], tuple[int, ...]] = {}
 
     def group(self, p: int, w: int) -> DhParams:
         """The fleet's object for the group ``(p, w)``, made on first use.
@@ -146,6 +152,18 @@ class SecretMemo:
             if slot is not None:
                 self._keys[slot] = key
         return key
+
+    def read(self, version: int, ptype: int, payload: bytes) -> tuple[int, ...]:
+        """``read_payload(version, ptype, payload)``, read once per input.
+
+        Raises:
+            DecodeError: as ``read_payload``, on every call with the payload.
+        """
+        slot = (version, ptype, payload)
+        fields = self._fields.get(slot)
+        if fields is None:
+            fields = self._fields[slot] = read_payload(version, ptype, payload)
+        return fields
 
 
 @dataclass(frozen=True)
@@ -197,6 +215,13 @@ class NodeState:
     object per group, so a version-2 beacon whose group equals the
     receiver's own, as when two per-node groups are drawn equal, is
     answered with ``keypair`` too.
+
+    The node keeps the last beacon and the last ACK it built, each with
+    the ``own_position`` and the key pair it was built from, and sends it
+    again while both are the same objects. A mobility tick assigns a new
+    ``own_position``, and a responder answering in another group uses
+    another pair, so either builds a new packet. The node's id, mode and
+    group are fixed for its life.
     """
 
     node_id: int
@@ -218,6 +243,10 @@ class NodeState:
     # alternates between the exchange in our group and the one in the
     # peer's; each flip is a lookup here.
     memo: SecretMemo = field(default_factory=SecretMemo, repr=False)
+    # The last beacon and the last ACK built, each as (own_position, key
+    # pair, packet); keyed by packet type.
+    _kept: dict[PacketType, tuple[Position, DhKeyPair, BeaconPacket]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # beaconing
@@ -231,22 +260,6 @@ class NodeState:
         interval = cfg.beacon_interval * factor
         return min(max(interval, cfg.interval_min), cfg.interval_max)
 
-    def build_beacon(self) -> BeaconPacket:
-        if self.dh_mode is DhMode.PER_NODE_PARAMS:
-            version = VERSION_PARAM_TRIPLE
-            payload = encode_param_triple(
-                self.dh_params.p, self.dh_params.w, self.keypair.public_value)
-        else:
-            version = VERSION_SINGLE
-            payload = int_to_magnitude(self.keypair.public_value)
-        return BeaconPacket(
-            identifiant=self.node_id,
-            version=version,
-            ptype=PacketType.BEACON,
-            src_pos=quantize_position(self.own_position),
-            public_value=payload,
-        )
-
     def on_timer_beacon(self, now: float) -> BeaconPacket:
         """Periodic timer: return the one beacon to broadcast.
 
@@ -254,7 +267,7 @@ class NodeState:
         once per timer, so that every drop can be recorded. Advances
         ``next_beacon_at`` by the effective interval.
         """
-        beacon = self.build_beacon()
+        beacon = self._packet(PacketType.BEACON, self.keypair)
         self.next_beacon_at = now + self.effective_beacon_interval()
         return beacon
 
@@ -285,14 +298,7 @@ class NodeState:
         responder = (self.keypair if params is self.dh_params
                      else self._responder_keypair(pkt.identifiant, params))
         entry.key = self.memo.key(params, responder, peer_public)
-
-        return BeaconPacket(
-            identifiant=self.node_id,
-            version=VERSION_SINGLE,
-            ptype=PacketType.ACK,
-            src_pos=quantize_position(self.own_position),
-            public_value=int_to_magnitude(responder.public_value),
-        )
+        return self._packet(PacketType.ACK, responder)
 
     def on_receive_ack(self, pkt: BeaconPacket, now: float) -> None:
         """Initiator side: the peer answered our beacon; derive the key.
@@ -353,10 +359,35 @@ class NodeState:
         no usable group or value.
         """
         try:
-            *group, public = read_payload(pkt.version, pkt.ptype, pkt.public_value)
+            *group, public = self.memo.read(pkt.version, pkt.ptype, pkt.public_value)
             return (self.memo.group(*group) if group else self.dh_params), public
         except (DecodeError, DhError):
             return None, None
+
+    def _packet(self, ptype: PacketType, keypair: DhKeyPair) -> BeaconPacket:
+        """The packet of type ``ptype`` from ``own_position`` carrying
+        ``keypair``: the kept one while both are the objects it was built
+        from. Only a per-node beacon carries its group."""
+        position = self.own_position
+        kept = self._kept.get(ptype)
+        if kept is not None and kept[0] is position and kept[1] is keypair:
+            return kept[2]
+        if ptype is PacketType.BEACON and self.dh_mode is DhMode.PER_NODE_PARAMS:
+            version = VERSION_PARAM_TRIPLE
+            payload = encode_param_triple(
+                self.dh_params.p, self.dh_params.w, keypair.public_value)
+        else:
+            version = VERSION_SINGLE
+            payload = int_to_magnitude(keypair.public_value)
+        packet = BeaconPacket(
+            identifiant=self.node_id,
+            version=version,
+            ptype=ptype,
+            src_pos=quantize_position(position),
+            public_value=payload,
+        )
+        self._kept[ptype] = (position, keypair, packet)
+        return packet
 
     def _refresh_entry(self, node_id: int, position: Position, now: float) -> NeighborEntry:
         entry = self.neighbors.get(node_id)

@@ -38,7 +38,11 @@ speed: when enabled, a node's first beacon is deferred by the parameter
 generation cost, and each side's shared-secret computation is its own
 event, ``SECRET_DONE``, the configured amount after the packet that
 started it. The key is recorded and the ACK sent at that event, from
-where the node is then. The default constants model a 512-bit exchange
+where the node is then. A secret that takes no simulated time finishes
+inside the delivery that started it, without a trip through the heap:
+when a delivery runs, no event at its instant that sorts before it is
+left, so that ``SECRET_DONE`` would be the next one popped, and the
+trace is the same. The default constants model a 512-bit exchange
 on 2006-era hardware, where parameter generation dominates at ~3.5 s and
 the whole two-message handshake lands around 3.6 s.
 """
@@ -118,7 +122,8 @@ class Mobility(Enum):
 class EventKind(IntEnum):
     # Numeric order is the tie-break order for simultaneous events.
     # SECRET_DONE sorts before every delivery, so a zero-cost secret ends
-    # right after the delivery that started it.
+    # right after the delivery that started it; the engine runs such a
+    # secret's handler at once instead of pushing it.
     BEACON_TIMER = 0
     SECRET_DONE = 1
     PACKET_DELIVERY = 2
@@ -458,8 +463,7 @@ class Simulation:
                                        extra or {}))
 
     def _halted(self, node_id: int, now: float) -> bool:
-        halt = self._halt_at.get(node_id)
-        return halt is not None and now >= halt
+        return self._halt_at.get(node_id, math.inf) <= now
 
     def _rebuild_grid(self) -> None:
         self._grid.rebuild((node_id, state.own_position) for node_id, state in self.nodes.items())
@@ -488,9 +492,14 @@ class Simulation:
         the positions of that instant."""
         cfg = self.config
         nodes = self.nodes
-        nearby = self._grid.block(sender) if pkt.ptype is PacketType.BEACON else (dest,)
-        candidates = {node_id: nodes[node_id].own_position for node_id in nearby
-                      if node_id != sender and not self._halted(node_id, now)}
+        halted = self._halted
+        if pkt.ptype is PacketType.BEACON:
+            candidates = {node_id: nodes[node_id].own_position
+                          for node_id in self._grid.block(sender)
+                          if node_id != sender and not halted(node_id, now)}
+        else:
+            candidates = ({} if dest == sender or halted(dest, now)
+                          else {dest: nodes[dest].own_position})
         payload = (sender, pkt)
         for recipient, delivered in deliver_in_range(
                 candidates, nodes[sender].own_position, cfg.radio_range,
@@ -518,7 +527,13 @@ class Simulation:
         if key == prev_key:
             key = None
         if key is not None or ack is not None:
-            self._push(now + cost, EventKind.SECRET_DONE, node_id, (sender, key, ack))
+            done = now + cost
+            if done == now:
+                # The heap would pop this SECRET_DONE next: nothing at
+                # ``now`` that sorts before a delivery is left in it.
+                self._handle_secret_done(node_id, now, (sender, key, ack))
+            else:
+                self._push(done, EventKind.SECRET_DONE, node_id, (sender, key, ack))
 
     def _handle_secret_done(self, node_id: int, now: float, payload: object) -> None:
         """Record the key and send the ACK a finished secret computation

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from beaconkx.codec import (
     BeaconPacket,
+    DecodeError,
     PacketType,
     Position,
     decode_packet,
@@ -14,6 +15,7 @@ from beaconkx.codec import (
     encode_param_triple,
     int_to_magnitude,
     magnitude_to_int,
+    quantize_position,
 )
 from beaconkx.dh import (
     DhError,
@@ -452,6 +454,49 @@ class TestFleetMemo:
         assert vars(params)["_rows"]
         assert vars(params)["_reducible"] is False
         assert secret_calls == [(21, y, a_public, x)]
+
+
+class TestKeptPackets:
+    def test_new_position_is_in_the_next_beacon_and_ack(self):
+        node = textbook_node(1, 6, pos=Position(10.0, 20.0))
+        peer = textbook_node(2, 15)
+        beacon = peer.on_timer_beacon(0.0)
+        node.on_timer_beacon(0.0)
+        node.on_receive_beacon(beacon, 0.1)
+        moved = Position(100.1, 200.2)
+        node.own_position = moved
+        assert node.on_timer_beacon(1.0).src_pos == quantize_position(moved)
+        assert node.on_receive_beacon(beacon, 1.1).src_pos == quantize_position(moved)
+
+    def test_each_group_is_answered_with_the_pair_held_for_it(self):
+        memo = SecretMemo()
+        groups = [generate_dh_params(64, random.Random(seed)) for seed in (1, 2, 3)]
+        responder, a, b = (
+            make_node(node_id, Position(float(node_id), 0.0), NodeConfig(),
+                      DhMode.PER_NODE_PARAMS, random.Random(node_id), params, memo)
+            for node_id, params in zip((1, 2, 3), groups))
+        for t, initiator in enumerate((a, b, a, b)):
+            ack = responder.on_receive_beacon(initiator.on_timer_beacon(t), t + 0.1)
+            held = responder._responder_keys[initiator.node_id][1]
+            assert magnitude_to_int(ack.public_value) == held.public_value
+            initiator.on_receive_ack(ack, t + 0.2)
+            assert initiator.neighbors[1].key == responder.neighbors[initiator.node_id].key
+
+    def test_rejected_payload_is_rejected_on_every_arrival(self):
+        # A leading zero octet makes the magnitude non-canonical.
+        node = textbook_node(2, 15)
+        bad = BeaconPacket(identifiant=1, version=1, ptype=PacketType.BEACON,
+                           src_pos=Position(1.0, 0.0), public_value=b"\x00\x08")
+        with pytest.raises(DecodeError) as first:
+            node.memo.read(bad.version, bad.ptype, bad.public_value)
+        with pytest.raises(DecodeError, match=f"^{first.value}$"):
+            node.memo.read(bad.version, bad.ptype, bad.public_value)
+        for t in (0.1, 1.1):
+            assert node.on_receive_beacon(bad, t) is None
+            assert node.neighbors[1].key is None
+        good = textbook_node(1, 6).on_timer_beacon(2.0)
+        assert node.on_receive_beacon(good, 2.1) is not None
+        assert node.neighbors[1].key == KEY_FOR_SECRET_2
 
 
 class TestExpiry:

@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of the trace and metrics of six fixed runs.
+"""Pinned SHA-256 digests of the trace and metrics of seven fixed runs.
 
 These are the refactor oracle: a change to the engine that is meant to
 leave behaviour alone must leave every digest below unchanged. A change
@@ -69,6 +69,15 @@ CONFIGS = {
         speed_range=(20.0, 20.0), mobility=Mobility.CONSTANT_VELOCITY,
         duration=8.0, loss_rate=0.1, seed=7, dh_bits=64,
         crypto_costs=CryptoCosts(0.1, 0.5, 0.5)),
+    # static, lossy, one halt, and no propagation delay: every delivery
+    # lands at its send instant, so an initiator's zero-cost secret ends
+    # at its ACK's delivery, while a responder's takes 0.2 s; pinned
+    # before zero-time secrets finished in place instead of on the heap
+    "zero_delay_halt": SimConfig(
+        n_vehicles=7, area=(400.0, 400.0), radio_range=250.0,
+        speed_range=(0.0, 0.0), duration=8.0, loss_rate=0.2, prop_delay=0.0,
+        seed=17, dh_bits=64, crypto_costs=CryptoCosts(0.0, 0.0, 0.2),
+        halts=((3, 4.0),)),
 }
 
 DIGESTS = {
@@ -84,6 +93,8 @@ DIGESTS = {
         "eb4c7daeb37941a170e9ec7960fd446fb7137f6bccdfe3b821e983ba31568ce5",
     "global_costs":
         "0fb76f4b83b7cd3b9a1abc6b4187f0d5ce0dea6f286091541a93de6c20ed6e22",
+    "zero_delay_halt":
+        "2f089680b74db8182b78264424d336a9f56afbadfe0e217108cd837f52929463",
 }
 
 
