@@ -95,7 +95,9 @@ def run_bench(bits: int, trials: int, seed: int) -> BenchResult:
     """Time the three key-agreement steps over ``trials`` exchanges.
 
     Medians are reported: prime search is heavy-tailed and a mean would
-    wander with the occasional long hunt.
+    wander with the occasional long hunt. Each trial also computes the
+    initiator's secret from the group's fixed-base table, untimed, as the
+    simulator does, and raises ``RuntimeError`` unless all three keys agree.
     """
     gen_times, init_times, resp_times = [], [], []
     rng = random.Random(f"{seed}/bench")
@@ -116,7 +118,10 @@ def run_bench(bits: int, trials: int, seed: int) -> BenchResult:
         key_r = derive_symmetric_key(secret_r)
         t4 = time.perf_counter_ns()
 
-        if key_i != key_r:
+        table_key = derive_symmetric_key(compute_shared_secret(
+            params, initiator.private_exponent, responder.public_value,
+            responder.private_exponent))
+        if not key_i == key_r == table_key:
             raise RuntimeError("key agreement failed during benchmark")
         gen_times.append(t1 - t0)
         init_times.append(t3 - t2)

@@ -33,6 +33,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import NamedTuple
 
 HEADER_LEN = 18
@@ -81,7 +82,10 @@ class BeaconPacket:
     src_pos: Position
     public_value: bytes
 
-    @property
+    # Kept on the instance, outside the fields, so equality, hash, repr
+    # and asdict stay those of the five fields. A kept packet's length is
+    # traced on every delivery and computed once.
+    @cached_property
     def packet_len(self) -> int:
         return HEADER_LEN + len(self.public_value)
 

@@ -99,11 +99,14 @@ MAX_SAMPLES = 10**4
 # weight allows. The weights keep the old unit, so the budget in wall
 # time does not grow.
 MAX_PRIME_SEARCHES = 2000
-# A 512-bit key pair from its group's fixed-base table, in searches of
-# that unit: 0.25-0.34 ms against 78 ms on a 2-vCPU Xeon VM, and 9.7 ms at
+# A 512-bit key pair from its group's fixed-base comb, in searches of
+# that unit: 0.14-0.15 ms against 78 ms on a 2-vCPU Xeon VM, and 4.5 ms at
 # 2048 bits, under the 10.9 ms the growth below allows. A per-node group
-# builds its table on its one pair, which then takes about 1.3 ms (40 ms
-# at 2048 bits), still under 3 % of the search that group is weighted.
+# builds its comb on its one pair, which then takes about 1.3 ms (30 ms at
+# 2048 bits), under 2 % of the search that group is weighted (0.3 % at
+# 2048 bits). So the weights still bound a 2048-bit per-node vehicle: its
+# search and first pair take about 2.3 s on average, against the 128
+# searches, 10 s, its group is weighted.
 KEYPAIR_SEARCHES = 1 / 230
 
 

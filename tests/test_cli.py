@@ -326,6 +326,17 @@ class TestBenchCommand:
             + result.responder_secret_ns)
         assert result.param_gen_ns > 0
 
+    def test_a_table_secret_unequal_to_pow_fails_the_bench(self, monkeypatch):
+        real = cli.compute_shared_secret
+
+        def off_by_one_from_the_table(params, own, peer, peer_private=None):
+            secret = real(params, own, peer, peer_private)
+            return secret if peer_private is None else secret + 1
+
+        monkeypatch.setattr(cli, "compute_shared_secret", off_by_one_from_the_table)
+        with pytest.raises(RuntimeError, match="key agreement failed"):
+            run_bench(bits=32, trials=1, seed=7)
+
     def test_reference_column_is_the_default_crypto_costs(self):
         assert REFERENCE_NS == {"param_gen": 3509800629,
                                 "initiator_secret": 49069788,

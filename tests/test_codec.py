@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import struct
@@ -49,6 +50,20 @@ class TestGoldenVectors:
         pkt = decode_packet(GOLDEN_BEACON)
         assert pkt == GOLDEN_PACKET
         assert pkt.packet_len == 19
+
+    def test_packet_len_is_kept_outside_the_fields(self):
+        pkt = make_packet(public_value=b"\x05\x06\x07")
+        twin = make_packet(public_value=b"\x05\x06\x07")
+        before = repr(pkt)
+        assert "packet_len" not in vars(pkt)
+        assert pkt.packet_len == HEADER_LEN + 3
+        assert vars(pkt)["packet_len"] == HEADER_LEN + 3
+        assert pkt == twin and twin == pkt
+        assert hash(pkt) == hash(twin)
+        assert repr(pkt) == repr(twin) == before
+        assert dataclasses.asdict(pkt) == {
+            "identifiant": 1, "version": 1, "ptype": PacketType.BEACON,
+            "src_pos": Position(0.0, 0.0), "public_value": b"\x05\x06\x07"}
 
     def test_position_field_encodings(self):
         encoded = encode_packet(make_packet(src_pos=Position(1.5, -2.0)))

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from beaconkx import dh
 from beaconkx.dh import (
+    COMB_BLOCKS,
+    COMB_TEETH,
     DEFAULT_PRIMALITY_ROUNDS,
-    FIXED_BASE_WINDOW,
     GCD_FILTER_BOUND,
     MAX_MODULUS_BITS,
     MIN_MODULUS_BITS,
@@ -425,7 +426,7 @@ class TestFixedBaseTable:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_keypair_and_secret_equal_pow(self, data):
         # Any modulus will do for the arithmetic; widths that are not a
-        # multiple of the window leave a short top digit. Half the moduli
+        # multiple of 16 leave the top row short. Half the moduli
         # up to 256 bits are prime, where secrets come from the table; a
         # composite one may fail w^(p-1) = 1, and its secrets must still
         # be pow's.
@@ -441,35 +442,75 @@ class TestFixedBaseTable:
         # The edges go first, as the power that builds the table, and last.
         for x in [2, p - 2, *middle, 2, p - 2]:
             assert keypair_from_private(params, x).public_value == pow(w, x, p)
-        rows = params._rows
-        assert len(rows) == -(-bits // FIXED_BASE_WINDOW)
-        assert rows[-1] == pow(w, 1 << (FIXED_BASE_WINDOW * (len(rows) - 1)), p)
+        a, low, high = params._comb
+        assert a == COMB_BLOCKS * -(-bits // (COMB_TEETH * COMB_BLOCKS))
+        b = a // COMB_BLOCKS
+        assert len(low) == len(high) == 1 << COMB_TEETH
+        top = COMB_TEETH - 1
+        assert low[1 << top] == pow(w, 1 << (top * a), p)
+        assert high[1 << top] == pow(w, 1 << (top * a + b), p)
         x, y = data.draw(st.integers(0, p)), data.draw(st.integers(2, p - 2))
         peer_public = pow(w, y, p)
         if 2 <= peer_public <= p - 2:
             assert compute_shared_secret(params, x, peer_public, y) == pow(peer_public, x, p)
         assert params._reducible is (pow(w, p - 1, p) == 1)
 
-    def test_one_power_of_w_per_row(self):
+    def test_comb_holds_subset_products_per_block(self):
+        # p = 23 has 5 bits: rows of a = 2 bits (5/8 rounded up, then up
+        # to even), blocks of b = 1. Block j's entry for digit 1 << i is
+        # w^(2^(2i + j)), and the powers 5^(2^k) mod 23 for k = 0..15 are
+        # 5 2 4 16 3 9 12 6 13 8 18 2 4 16 3 9.
         params = DhParams(p=23, w=5)
         keypair_from_private(params, 2)
-        assert params._rows == [5, pow(5, 16, 23)]
+        a, low, high = params._comb
+        assert a == 2
+        assert [low[1 << i] for i in range(8)] == [5, 4, 3, 12, 13, 18, 4, 3]
+        assert [high[1 << i] for i in range(8)] == [2, 16, 9, 6, 8, 2, 16, 9]
+        for j, block in enumerate((low, high)):
+            assert block[0] == 1
+            assert [block[1 << i] for i in range(8)] == [
+                pow(5, 1 << (i * a + j), 23) for i in range(8)]
+            # Every other entry is the product of its digit's bits.
+            for digit in range(256):
+                product = math.prod(block[1 << i] for i in range(8) if digit >> i & 1)
+                assert block[digit] == product % 23
+        # 6 = 0b110: bit 1 is row 0 of block 1, bit 2 row 1 of block 0,
+        # so w^6 = high[0b1] * low[0b10] = 2 * 4 = 8 (mod 23).
+        assert high[0b1] * low[0b10] % 23 == 8
+        assert keypair_from_private(params, 6).public_value == 8
 
-    def test_first_pair_builds_the_rows_and_later_pairs_reuse_them(self):
+    @pytest.mark.parametrize("bits", [16, 17, 31, 32, 33, 255, 256, 257,
+                                      511, 512, 513, 2047, 2048])
+    def test_power_at_the_comb_edges_equals_pow(self, bits):
+        rng = random.Random(bits)
+        p = 1 << (bits - 1) | rng.getrandbits(bits - 1) | 1
+        params = DhParams(p=p, w=rng.randrange(2, p))
+        w = params.w
+        a = params._comb[0]
+        b = a // COMB_BLOCKS
+        # Each row and block starts at a multiple of b: the bit there and
+        # the one below it, which ends the block before.
+        boundaries = [k for start in range(0, COMB_TEETH * a, b)
+                      for k in (start - 1, start) if 0 <= k < bits]
+        all_ones = (1 << (bits - 1)) - 1
+        for exponent in [0, 1, p - 2, p - 1, all_ones, *(1 << k for k in boundaries)]:
+            assert params._power(exponent) == pow(w, exponent, p), exponent
+
+    def test_first_pair_builds_the_comb_and_later_pairs_reuse_it(self):
         params = generate_dh_params(64, random.Random(5))
-        assert "_rows" not in vars(params)
+        assert "_comb" not in vars(params)
         keypair_from_private(params, 99)
-        rows = vars(params)["_rows"]
-        assert rows
+        comb = vars(params)["_comb"]
+        assert comb
         keypair_from_private(params, 100)
-        assert params._rows is rows
+        assert params._comb is comb
 
     def test_first_secret_with_the_peer_exponent_uses_the_table(self):
         params = generate_dh_params(64, random.Random(7))
         peer_public = pow(params.w, 12345, params.p)
         secret = compute_shared_secret(params, 99, peer_public, 12345)
         assert secret == pow(peer_public, 99, params.p)
-        assert vars(params)["_rows"]
+        assert vars(params)["_comb"]
         assert vars(params)["_reducible"] is True
 
     def test_secret_without_the_peer_exponent_leaves_the_group_alone(self):
@@ -491,7 +532,7 @@ class TestFixedBaseTable:
         before = repr(params)
         for x in range(2, 5):
             keypair_from_private(params, x)
-        assert vars(params)["_rows"]
+        assert vars(params)["_comb"]
         assert params == twin and twin == params
         assert hash(params) == hash(twin)
         assert {twin: "group"}[params] == "group"
@@ -504,7 +545,7 @@ class TestFixedBaseTable:
         groups = [sim.nodes[1].dh_params for sim in (first, second)]
         assert groups[0] == groups[1]
         assert groups[0] is not groups[1]
-        tables = [vars(group)["_rows"] for group in groups]
+        tables = [vars(group)["_comb"] for group in groups]
         assert tables[0]
         assert tables[0] == tables[1]
         assert tables[0] is not tables[1]

@@ -451,7 +451,7 @@ class TestFleetMemo:
         key = derive_symmetric_key(pow(b_public, x, 21))
         assert derive_symmetric_key(pow(2, x * y % 20, 21)) != key
         assert a.neighbors[2].key == b.neighbors[1].key == key
-        assert vars(params)["_rows"]
+        assert vars(params)["_comb"]
         assert vars(params)["_reducible"] is False
         assert secret_calls == [(21, y, a_public, x)]
 

@@ -115,4 +115,4 @@ def test_every_group_has_its_table_when_set_up_ends():
     # shared or its own.
     for name, config in CONFIGS.items():
         sim = Simulation(config)
-        assert all(vars(node.dh_params).get("_rows") for node in sim.nodes.values()), name
+        assert all(vars(node.dh_params).get("_comb") for node in sim.nodes.values()), name
